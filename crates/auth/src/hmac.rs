@@ -1,23 +1,26 @@
 //! HMAC-SHA-256 (RFC 2104), validated against RFC 4231 test vectors.
 
-use crate::sha256::{sha256, Digest, Sha256, DIGEST_LEN};
+use crate::sha256::{compress, digest_of, sha256, Digest, Sha256, DIGEST_LEN};
 
 const BLOCK_LEN: usize = 64;
 
-/// Computes `HMAC-SHA256(key, message)`.
-pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
+/// The key padded to one block and xored into the inner and outer pads.
+fn pads(key: &[u8]) -> ([u8; BLOCK_LEN], [u8; BLOCK_LEN]) {
     let mut key_block = [0u8; BLOCK_LEN];
     if key.len() > BLOCK_LEN {
         key_block[..DIGEST_LEN].copy_from_slice(&sha256(key));
     } else {
         key_block[..key.len()].copy_from_slice(key);
     }
-    let mut ipad = [0x36u8; BLOCK_LEN];
-    let mut opad = [0x5cu8; BLOCK_LEN];
-    for i in 0..BLOCK_LEN {
-        ipad[i] ^= key_block[i];
-        opad[i] ^= key_block[i];
-    }
+    (key_block.map(|b| b ^ 0x36), key_block.map(|b| b ^ 0x5c))
+}
+
+/// Computes `HMAC-SHA256(key, message)` in one shot, straight from RFC 2104.
+/// For many messages under one key use [`HmacKey`], which hashes the pads
+/// once; this form is the public primitive and the oracle it is tested
+/// against.
+pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
+    let (ipad, opad) = pads(key);
     let mut inner = Sha256::new();
     inner.update(&ipad);
     inner.update(message);
@@ -26,6 +29,48 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
     outer.update(&opad);
     outer.update(&inner_digest);
     outer.finalize()
+}
+
+/// An HMAC-SHA-256 key with both pads already hashed: the SHA-256 chaining
+/// values after the ipad block and after the opad block. [`HmacKey::mac`]
+/// then costs `⌈(len + 9) / 64⌉ + 1` compressions and yields exactly
+/// `hmac_sha256(key, message)`.
+#[derive(Clone, Debug)]
+pub struct HmacKey {
+    inner: [u32; 8],
+    outer: [u32; 8],
+}
+
+impl HmacKey {
+    /// Hashes `key`'s pads (two compressions, three for a key over a block).
+    pub fn new(key: &[u8]) -> Self {
+        let (ipad, opad) = pads(key);
+        let after = |pad: &[u8; BLOCK_LEN]| {
+            let mut h = Sha256::new();
+            h.update(pad);
+            h.into_state()
+        };
+        HmacKey {
+            inner: after(&ipad),
+            outer: after(&opad),
+        }
+    }
+
+    /// `HMAC-SHA256(key, message)`.
+    pub fn mac(&self, message: &[u8]) -> Digest {
+        let mut inner = Sha256::resume(self.inner, 1);
+        inner.update(message);
+        // The outer hash is always opad block + 32-byte digest, so its
+        // second and last block has one fixed layout: digest, 0x80, zeros,
+        // bit length of 64 + 32 bytes.
+        let mut block = [0u8; BLOCK_LEN];
+        block[..DIGEST_LEN].copy_from_slice(&inner.finalize());
+        block[DIGEST_LEN] = 0x80;
+        block[56..].copy_from_slice(&(8 * (BLOCK_LEN + DIGEST_LEN) as u64).to_be_bytes());
+        let mut state = self.outer;
+        compress(&mut state, &block);
+        digest_of(&state)
+    }
 }
 
 /// Constant-time digest comparison (always inspects all bytes).
@@ -76,6 +121,16 @@ mod tests {
     }
 
     #[test]
+    fn rfc4231_case_4() {
+        let key: Vec<u8> = (1..=25).collect();
+        let mac = hmac_sha256(&key, &[0xcd; 50]);
+        assert_eq!(
+            hex(&mac),
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"
+        );
+    }
+
+    #[test]
     fn rfc4231_case_6_long_key() {
         let key = [0xaa; 131];
         let mac = hmac_sha256(
@@ -85,6 +140,35 @@ mod tests {
         assert_eq!(
             hex(&mac),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+        );
+    }
+
+    #[test]
+    fn rfc4231_case_7_long_key_long_data() {
+        let key = [0xaa; 131];
+        let mac = hmac_sha256(
+            &key,
+            b"This is a test using a larger than block-size key and a larger \
+              than block-size data. The key needs to be hashed before being \
+              used by the HMAC algorithm.",
+        );
+        assert_eq!(
+            hex(&mac),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
+        );
+    }
+
+    #[test]
+    fn keyed_state_matches_the_rfc_vectors_too() {
+        // Cases 1 and 7: a short key, and a hashed key with multi-block data.
+        assert_eq!(
+            hex(&HmacKey::new(&[0x0b; 20]).mac(b"Hi There")),
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
+        );
+        let data = [0x5a; 152];
+        assert_eq!(
+            HmacKey::new(&[0xaa; 131]).mac(&data),
+            hmac_sha256(&[0xaa; 131], &data)
         );
     }
 

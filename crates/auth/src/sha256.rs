@@ -45,12 +45,24 @@ impl Default for Sha256 {
 impl Sha256 {
     /// Fresh hasher.
     pub fn new() -> Self {
+        Self::resume(H0, 0)
+    }
+
+    /// A hasher that has already absorbed `blocks` whole 64-byte blocks and
+    /// reached chaining value `state` (how a keyed HMAC state resumes).
+    pub(crate) fn resume(state: [u32; 8], blocks: u64) -> Self {
         Sha256 {
-            state: H0,
+            state,
             buffer: [0; 64],
             buffered: 0,
-            total_len: 0,
+            total_len: blocks * 64,
         }
+    }
+
+    /// The chaining value after a whole number of absorbed blocks.
+    pub(crate) fn into_state(self) -> [u32; 8] {
+        debug_assert_eq!(self.buffered, 0, "chaining value taken mid-block");
+        self.state
     }
 
     /// Absorbs `data`.
@@ -62,90 +74,86 @@ impl Sha256 {
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&input[..take]);
             self.buffered += take;
             input = &input[take..];
-            if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
+            if self.buffered < 64 {
+                return;
             }
+            compress(&mut self.state, &self.buffer);
+            self.buffered = 0;
         }
-        while input.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&input[..64]);
-            self.compress(&block);
-            input = &input[64..];
+        // Whole blocks are compressed where they lie, not copied first.
+        let mut blocks = input.chunks_exact(64);
+        for block in &mut blocks {
+            compress(&mut self.state, block.try_into().expect("64-byte chunk"));
         }
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffered = input.len();
-        }
+        let tail = blocks.remainder();
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffered = tail.len();
     }
 
     /// Finishes and returns the digest.
     pub fn finalize(mut self) -> Digest {
+        // padding: 0x80, zeros to 56 mod 64, 64-bit big-endian bit length
+        self.buffer[self.buffered] = 0x80;
+        self.buffer[self.buffered + 1..].fill(0);
+        if self.buffered >= 56 {
+            compress(&mut self.state, &self.buffer);
+            self.buffer = [0; 64];
+        }
         let bit_len = self.total_len.wrapping_mul(8);
-        // padding: 0x80, zeros, 64-bit big-endian length
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
-        }
-        self.total_len = self.total_len.wrapping_sub(8); // length bytes don't count
-        let mut block = self.buffer;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
-        let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buffer);
+        digest_of(&self.state)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+/// Serializes a chaining value as the big-endian digest.
+pub(crate) fn digest_of(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; DIGEST_LEN];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// The SHA-256 compression function: folds one 64-byte block into `state`.
+pub(crate) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    #[cfg(test)]
+    tests::COMPRESSIONS.with(|c| c.set(c.get() + 1));
+    let mut w = [0u32; 64];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes(bytes.try_into().expect("4-byte chunk"));
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *word = word.wrapping_add(add);
     }
 }
 
@@ -157,8 +165,21 @@ pub fn sha256(data: &[u8]) -> Digest {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Compressions run on this thread (tests pin exact per-MAC costs).
+        pub(crate) static COMPRESSIONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Compressions `f` runs on the calling thread.
+    pub(crate) fn compressions_in(f: impl FnOnce()) -> u64 {
+        let before = COMPRESSIONS.with(Cell::get);
+        f();
+        COMPRESSIONS.with(Cell::get) - before
+    }
 
     fn hex(d: &Digest) -> String {
         d.iter().map(|b| format!("{b:02x}")).collect()
@@ -191,6 +212,17 @@ mod tests {
     }
 
     #[test]
+    fn nist_vector_896_bits_two_blocks() {
+        assert_eq!(
+            hex(&sha256(
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
+                  ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"
+            )),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
+        );
+    }
+
+    #[test]
     fn nist_vector_million_a() {
         let mut h = Sha256::new();
         let chunk = [b'a'; 1000];
@@ -205,12 +237,26 @@ mod tests {
 
     #[test]
     fn incremental_matches_oneshot() {
-        let data = b"the quick brown fox jumps over the lazy dog";
+        // 200 bytes: splits land before, on and after block boundaries, so
+        // the buffered, in-place and tail branches of `update` all run.
+        let data: Vec<u8> = (0..200u8).collect();
         for split in 0..data.len() {
             let mut h = Sha256::new();
             h.update(&data[..split]);
             h.update(&data[split..]);
-            assert_eq!(h.finalize(), sha256(data), "split at {split}");
+            assert_eq!(h.finalize(), sha256(&data), "split at {split}");
+        }
+    }
+
+    #[test]
+    fn compressions_follow_the_padding_rule() {
+        // ⌈(len + 9) / 64⌉: one more block once 0x80 + length no longer fit.
+        for (len, blocks) in [(0, 1), (55, 1), (56, 2), (64, 2), (119, 2), (120, 3)] {
+            let data = vec![7u8; len];
+            let ran = compressions_in(|| {
+                sha256(&data);
+            });
+            assert_eq!(ran, blocks, "len {len}");
         }
     }
 }

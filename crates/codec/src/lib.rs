@@ -80,7 +80,13 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+    /// Consumes the next `n` bytes in one bounds-checked step.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::UnexpectedEnd`] if fewer than `n` remain; nothing is
+    /// consumed then.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         if self.remaining() < n {
             return Err(DecodeError::UnexpectedEnd);
         }
@@ -90,7 +96,7 @@ impl<'a> Reader<'a> {
     }
 
     fn byte(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
+        Ok(self.bytes(1)?[0])
     }
 
     fn len_prefix(&mut self) -> Result<usize, DecodeError> {
@@ -149,8 +155,8 @@ macro_rules! int_codec {
         }
         impl Decode for $ty {
             fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-                let bytes = r.take(std::mem::size_of::<$ty>())?;
-                Ok(<$ty>::from_le_bytes(bytes.try_into().expect("sized take")))
+                let bytes = r.bytes(std::mem::size_of::<$ty>())?;
+                Ok(<$ty>::from_le_bytes(bytes.try_into().expect("sized read")))
             }
         }
     )+};
@@ -184,7 +190,7 @@ impl Encode for String {
 impl Decode for String {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let n = r.len_prefix()?;
-        let bytes = r.take(n)?;
+        let bytes = r.bytes(n)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8)
     }
 }
@@ -287,7 +293,7 @@ impl Decode for Value {
             3 => Value::Str(String::decode(r)?),
             4 => {
                 let n = r.len_prefix()?;
-                Value::Bytes(r.take(n)?.to_vec())
+                Value::Bytes(r.bytes(n)?.to_vec())
             }
             5 => Value::List(Vec::decode(r)?),
             6 => {
@@ -528,7 +534,7 @@ impl Encode for [u8; 32] {
 
 impl Decode for [u8; 32] {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(r.take(32)?.try_into().expect("sized take"))
+        Ok(r.bytes(32)?.try_into().expect("sized read"))
     }
 }
 

@@ -775,14 +775,6 @@ impl Encode for Message {
     }
 }
 
-fn decode_digest(r: &mut Reader<'_>) -> Result<Digest, DecodeError> {
-    let mut d = [0u8; 32];
-    for byte in &mut d {
-        *byte = u8::decode(r)?;
-    }
-    Ok(d)
-}
-
 fn encode_batch(batch: &[Request], buf: &mut Vec<u8>) {
     (batch.len() as u32).encode(buf);
     for req in batch {
@@ -826,13 +818,13 @@ impl Decode for Message {
             2 => Message::Prepare {
                 view: u64::decode(r)?,
                 seq: u64::decode(r)?,
-                digest: decode_digest(r)?,
+                digest: Digest::decode(r)?,
                 replica: u32::decode(r)?,
             },
             3 => Message::Commit {
                 view: u64::decode(r)?,
                 seq: u64::decode(r)?,
-                digest: decode_digest(r)?,
+                digest: Digest::decode(r)?,
                 replica: u32::decode(r)?,
             },
             4 => Message::Reply {
@@ -846,7 +838,7 @@ impl Decode for Message {
                 let new_view = u64::decode(r)?;
                 let last_exec = u64::decode(r)?;
                 let stable_seq = u64::decode(r)?;
-                let stable_digest = decode_digest(r)?;
+                let stable_digest = Digest::decode(r)?;
                 let prepared = decode_assignments(r)?;
                 let replica = u32::decode(r)?;
                 Message::ViewChange {
@@ -864,7 +856,7 @@ impl Decode for Message {
             },
             7 => Message::Checkpoint {
                 seq: u64::decode(r)?,
-                digest: decode_digest(r)?,
+                digest: Digest::decode(r)?,
                 replica: u32::decode(r)?,
             },
             8 => Message::FetchState {
@@ -873,7 +865,7 @@ impl Decode for Message {
             },
             9 => Message::StateSnapshot {
                 seq: u64::decode(r)?,
-                digest: decode_digest(r)?,
+                digest: Digest::decode(r)?,
                 snapshot: ReplicaSnapshot::decode(r)?,
                 replica: u32::decode(r)?,
             },
@@ -886,7 +878,7 @@ impl Decode for Message {
             11 => Message::ReadReply {
                 req_id: u64::decode(r)?,
                 seq: u64::decode(r)?,
-                digest: decode_digest(r)?,
+                digest: Digest::decode(r)?,
                 result: OpResult::decode(r)?,
                 replica: u32::decode(r)?,
             },
@@ -923,6 +915,16 @@ impl Sealed {
         }
     }
 
+    /// The wire bytes of `body` (an encoded [`Message`]) sealed from
+    /// `keys.id()` to `to` — exactly `Sealed::seal(keys, to, msg).to_bytes()`
+    /// for `body == msg.to_bytes()`. A broadcast encodes its message once
+    /// and calls this per recipient: only the MAC differs between them.
+    pub fn frame(keys: &KeyTable, to: u64, body: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(8 + 32 + 4 + body.len());
+        write_envelope(&mut buf, keys.id(), &keys.sign_for(to, body), body);
+        buf
+    }
+
     /// Verifies and decodes, returning the authenticated sender and the
     /// message. `None` on any MAC/codec failure (Byzantine input).
     pub fn open(&self, keys: &KeyTable) -> Option<(u64, Message)> {
@@ -933,27 +935,28 @@ impl Sealed {
     }
 }
 
+fn write_envelope(buf: &mut Vec<u8>, from: u64, mac: &Digest, body: &[u8]) {
+    from.encode(buf);
+    buf.extend_from_slice(mac);
+    (body.len() as u32).encode(buf);
+    buf.extend_from_slice(body);
+}
+
 impl Encode for Sealed {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.from.encode(buf);
-        buf.extend_from_slice(&self.mac);
-        (self.body.len() as u32).encode(buf);
-        buf.extend_from_slice(&self.body);
+        write_envelope(buf, self.from, &self.mac, &self.body);
     }
 }
 
 impl Decode for Sealed {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let from = u64::decode(r)?;
-        let mac = decode_digest(r)?;
+        let mac = Digest::decode(r)?;
         let n = u32::decode(r)? as usize;
         if n > r.remaining() {
             return Err(DecodeError::LengthOverflow);
         }
-        let mut body = Vec::with_capacity(n);
-        for _ in 0..n {
-            body.push(u8::decode(r)?);
-        }
+        let body = r.bytes(n)?.to_vec();
         Ok(Sealed { from, mac, body })
     }
 }
@@ -1185,5 +1188,39 @@ mod tests {
         let sealed = Sealed::seal(&alice, 2, &Message::Request(sample_request()));
         let bytes = sealed.to_bytes();
         assert_eq!(Sealed::from_bytes(&bytes).unwrap(), sealed);
+    }
+
+    /// Wire bytes captured before `KeyTable` cached keyed HMAC states and
+    /// before `frame` existed: neither may change a bit of an envelope.
+    #[test]
+    fn sealed_request_matches_golden_bytes() {
+        const GOLDEN: &str = "01000000000000002648476bc824d74a33a2740ebc3be6fa\
+            92dc7a4b3ae71cedd4642f85835b7bab38000000000900000000000000030000\
+            0000000000000502000000000301000000440201000000780002000000030100\
+            000044010100000000000000";
+        let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        let keys = KeyTable::new(1, b"deployment".to_vec());
+        let msg = Message::Request(sample_request());
+        // Cold, then from the cached state, then by the seal-once path.
+        assert_eq!(hex(&Sealed::seal(&keys, 2, &msg).to_bytes()), GOLDEN);
+        assert_eq!(hex(&Sealed::seal(&keys, 2, &msg).to_bytes()), GOLDEN);
+        assert_eq!(hex(&Sealed::frame(&keys, 2, &msg.to_bytes())), GOLDEN);
+    }
+
+    #[test]
+    fn forged_senders_never_open_and_never_grow_the_key_cache() {
+        let alice = KeyTable::new(1, b"master".to_vec());
+        let bob = KeyTable::new(2, b"master".to_vec());
+        let sealed = Sealed::seal(&alice, 2, &Message::Request(sample_request()));
+        assert!(sealed.open(&bob).is_some());
+        let cached = bob.cached_peers();
+        for forged in 1_000..11_000 {
+            let spoofed = Sealed {
+                from: forged,
+                ..sealed.clone()
+            };
+            assert!(spoofed.open(&bob).is_none(), "sender {forged}");
+        }
+        assert_eq!(bob.cached_peers(), cached);
     }
 }

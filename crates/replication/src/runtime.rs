@@ -89,24 +89,14 @@ pub fn ship<T: Transport>(
     outputs: Vec<(Dest, Message)>,
 ) {
     for (dest, msg) in outputs {
+        // Encoded once per output: the frames of a broadcast differ only in
+        // their MAC.
+        let body = msg.to_bytes();
+        let send = |peer: u64| net.send(me, peer as NodeId, Sealed::frame(keys, peer, &body));
         match dest {
-            Dest::Replica(r) => {
-                let sealed = Sealed::seal(keys, u64::from(r), &msg);
-                net.send(me, r, sealed.to_bytes());
-            }
-            Dest::AllReplicas => {
-                for r in 0..n as NodeId {
-                    if r == me {
-                        continue;
-                    }
-                    let sealed = Sealed::seal(keys, u64::from(r), &msg);
-                    net.send(me, r, sealed.to_bytes());
-                }
-            }
-            Dest::Client(node) => {
-                let sealed = Sealed::seal(keys, node, &msg);
-                net.send(me, node as NodeId, sealed.to_bytes());
-            }
+            Dest::Replica(r) => send(u64::from(r)),
+            Dest::AllReplicas => (0..n as u64).filter(|&r| r != u64::from(me)).for_each(send),
+            Dest::Client(node) => send(node),
         }
     }
 }
@@ -404,6 +394,15 @@ impl<T: Transport> ReplicatedPeats<T> {
         }
     }
 
+    /// Sends `msg` to every replica: encoded once, MAC'd per recipient.
+    fn broadcast(&self, msg: &Message) {
+        let body = msg.to_bytes();
+        for r in 0..self.n_replicas as NodeId {
+            let frame = Sealed::frame(&self.keys, u64::from(r), &body);
+            self.net.send(self.node, r, frame);
+        }
+    }
+
     fn invoke(&self, op: OpCall<'static>) -> SpaceResult<OpResult> {
         self.invoke_op(RequestOp::Call(op))
     }
@@ -416,13 +415,7 @@ impl<T: Transport> ReplicatedPeats<T> {
             req_id,
         };
         let mut session = ClientSession::new_op(self.pid, req_id, op, self.f);
-        let broadcast = |session: &ClientSession| {
-            for r in 0..self.n_replicas as NodeId {
-                let sealed = Sealed::seal(&self.keys, u64::from(r), &session.request_message());
-                self.net.send(self.node, r, sealed.to_bytes());
-            }
-        };
-        broadcast(&session);
+        self.broadcast(&session.request_message());
         // Track in-flight depth (tests assert clones genuinely overlap).
         let depth = self.stats.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
         self.stats.max_in_flight.fetch_max(depth, Ordering::Relaxed);
@@ -437,7 +430,7 @@ impl<T: Transport> ReplicatedPeats<T> {
                     ));
                 }
                 if now >= next_retry {
-                    broadcast(&session);
+                    self.broadcast(&session.request_message());
                     self.stats.rebroadcasts.fetch_add(1, Ordering::Relaxed);
                     // Reset from *now*, not the missed tick: after a long
                     // stall (`+= interval` drifting behind the clock) every
@@ -529,10 +522,11 @@ impl<T: Transport> ReplicatedPeats<T> {
         };
         let quorum = self.f + 1;
         let probe = self.probe_offset.load(Ordering::Relaxed) as usize % self.n_replicas;
+        let body = msg.to_bytes();
         let send_to = |i: usize| {
             let r = ((probe + i) % self.n_replicas) as NodeId;
-            let sealed = Sealed::seal(&self.keys, u64::from(r), &msg);
-            self.net.send(self.node, r, sealed.to_bytes());
+            let frame = Sealed::frame(&self.keys, u64::from(r), &body);
+            self.net.send(self.node, r, frame);
         };
         for i in 0..quorum.min(self.n_replicas) {
             send_to(i);
@@ -606,13 +600,7 @@ impl<T: Transport> ReplicatedPeats<T> {
         };
         let mut session =
             BlockingSession::new(self.pid, req_id, template.clone(), kind, false, self.f);
-        let broadcast = |session: &BlockingSession| {
-            for r in 0..self.n_replicas as NodeId {
-                let sealed = Sealed::seal(&self.keys, u64::from(r), &session.request_message());
-                self.net.send(self.node, r, sealed.to_bytes());
-            }
-        };
-        broadcast(&session);
+        self.broadcast(&session.request_message());
         let depth = self.stats.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
         self.stats.max_in_flight.fetch_max(depth, Ordering::Relaxed);
         let result = (|| {
@@ -627,7 +615,7 @@ impl<T: Transport> ReplicatedPeats<T> {
                     // Only the un-acknowledged phase retransmits: once f+1
                     // replicas confirmed the park, the next message we are
                     // owed is a pushed wake, not a reply.
-                    broadcast(&session);
+                    self.broadcast(&session.request_message());
                     self.stats.rebroadcasts.fetch_add(1, Ordering::Relaxed);
                     next_retry = Instant::now() + self.cfg.retry_interval;
                 }
@@ -662,7 +650,7 @@ impl<T: Transport> ReplicatedPeats<T> {
             // Deadline passed while parked (or never acknowledged). Detach
             // the registration in the total order, then settle the race.
             self.invoke_op(RequestOp::Cancel { target: req_id })?;
-            broadcast(&session);
+            self.broadcast(&session.request_message());
             let settle = Instant::now() + self.cfg.retry_interval;
             loop {
                 let wait = settle.saturating_duration_since(Instant::now());
@@ -731,13 +719,7 @@ impl<T: Transport> ReplicatedPeats<T> {
         );
         let mut stream = WakeStreamSession::new(req_id, self.f, self.n_replicas);
         let mut pending = VecDeque::new();
-        let broadcast = |session: &BlockingSession| {
-            for r in 0..self.n_replicas as NodeId {
-                let sealed = Sealed::seal(&self.keys, u64::from(r), &session.request_message());
-                self.net.send(self.node, r, sealed.to_bytes());
-            }
-        };
-        broadcast(&park);
+        self.broadcast(&park.request_message());
         let deadline = Instant::now() + self.cfg.invoke_timeout;
         let mut next_retry = Instant::now() + self.cfg.retry_interval;
         loop {
@@ -749,7 +731,7 @@ impl<T: Transport> ReplicatedPeats<T> {
                 ));
             }
             if now >= next_retry {
-                broadcast(&park);
+                self.broadcast(&park.request_message());
                 self.stats.rebroadcasts.fetch_add(1, Ordering::Relaxed);
                 next_retry = Instant::now() + self.cfg.retry_interval;
             }
@@ -952,11 +934,7 @@ impl<T: Transport> Drop for Subscription<T> {
                 target: self.req_id,
             },
         };
-        let msg = Message::Request(cancel);
-        for r in 0..self.handle.n_replicas as NodeId {
-            let sealed = Sealed::seal(&self.handle.keys, u64::from(r), &msg);
-            self.handle.net.send(self.handle.node, r, sealed.to_bytes());
-        }
+        self.handle.broadcast(&Message::Request(cancel));
     }
 }
 

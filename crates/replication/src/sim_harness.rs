@@ -35,24 +35,16 @@ struct ReplicaActor {
 impl ReplicaActor {
     fn ship(&self, ctx: &mut Context<'_>, outputs: Vec<(Dest, Message)>) {
         for (dest, msg) in outputs {
+            let body = msg.to_bytes();
+            let mut send = |peer: u64| {
+                ctx.send(peer as NodeId, Sealed::frame(&self.keys, peer, &body));
+            };
             match dest {
-                Dest::Replica(r) => {
-                    let sealed = Sealed::seal(&self.keys, u64::from(r), &msg);
-                    ctx.send(r, sealed.to_bytes());
-                }
-                Dest::AllReplicas => {
-                    for r in 0..self.n_replicas as NodeId {
-                        if u64::from(r) == self.keys.id() {
-                            continue;
-                        }
-                        let sealed = Sealed::seal(&self.keys, u64::from(r), &msg);
-                        ctx.send(r, sealed.to_bytes());
-                    }
-                }
-                Dest::Client(node) => {
-                    let sealed = Sealed::seal(&self.keys, node, &msg);
-                    ctx.send(node as NodeId, sealed.to_bytes());
-                }
+                Dest::Replica(r) => send(u64::from(r)),
+                Dest::AllReplicas => (0..self.n_replicas as u64)
+                    .filter(|&r| r != self.keys.id())
+                    .for_each(send),
+                Dest::Client(node) => send(node),
             }
         }
     }
@@ -392,7 +384,6 @@ impl SimCluster {
     /// runs the simulation until every client accepted a result or the
     /// step budget runs out. Returns one result per input, in input order.
     pub fn invoke_many(&mut self, ops: Vec<(usize, OpCall<'static>)>) -> Vec<Option<OpResult>> {
-        let n_replicas = self.replicas.len();
         type Decided = Option<(Seq, OpResult)>;
         let mut sessions: Vec<(usize, ClientSession, Decided)> = Vec::new();
         for (client_idx, op) in ops {
@@ -408,12 +399,7 @@ impl SimCluster {
                 if decided.is_some() {
                     continue;
                 }
-                let c = &cluster.clients[*client_idx];
-                let node = c.node;
-                for r in 0..n_replicas as NodeId {
-                    let sealed = Sealed::seal(&c.keys, u64::from(r), &session.request_message());
-                    cluster.net.inject(node, r, sealed.to_bytes());
-                }
+                cluster.broadcast(*client_idx, &session.request_message());
             }
         };
         broadcast(self, &sessions);
@@ -496,12 +482,11 @@ impl SimCluster {
         watermark: Seq,
     ) -> FastRead {
         let n_replicas = self.replicas.len();
-        let (node, req_id, msg) = {
+        let (req_id, msg) = {
             let c = &mut self.clients[client_idx];
             c.next_req_id += 1;
             c.replies.borrow_mut().clear();
             (
-                c.node,
                 c.next_req_id,
                 Message::ReadRequest {
                     client: c.pid,
@@ -512,13 +497,7 @@ impl SimCluster {
             )
         };
         let mut session = ReadSession::new(req_id, watermark, self.f, n_replicas);
-        {
-            let c = &self.clients[client_idx];
-            for r in 0..n_replicas as NodeId {
-                let sealed = Sealed::seal(&c.keys, u64::from(r), &msg);
-                self.net.inject(node, r, sealed.to_bytes());
-            }
-        }
+        self.broadcast(client_idx, &msg);
         let mut steps = 0u64;
         while steps < self.step_budget {
             let live = self.net.step();
@@ -565,12 +544,14 @@ impl SimCluster {
         }
     }
 
-    fn broadcast_blocking(&mut self, client_idx: usize, session: &BlockingSession) {
-        let n_replicas = self.replicas.len();
+    /// Injects `msg` from `client_idx` to every replica: encoded once,
+    /// MAC'd per recipient (as `ReplicatedPeats::broadcast` does).
+    fn broadcast(&mut self, client_idx: usize, msg: &Message) {
+        let body = msg.to_bytes();
         let c = &self.clients[client_idx];
-        for r in 0..n_replicas as NodeId {
-            let sealed = Sealed::seal(&c.keys, u64::from(r), &session.request_message());
-            self.net.inject(c.node, r, sealed.to_bytes());
+        for r in 0..self.replicas.len() as NodeId {
+            let frame = Sealed::frame(&c.keys, u64::from(r), &body);
+            self.net.inject(c.node, r, frame);
         }
     }
 
@@ -593,11 +574,11 @@ impl SimCluster {
         c.next_req_id += 1;
         c.replies.borrow_mut().clear();
         let mut session = BlockingSession::new(c.pid, c.next_req_id, template, kind, false, self.f);
-        self.broadcast_blocking(client_idx, &session);
+        self.broadcast(client_idx, &session.request_message());
         let mut steps = 0u64;
         while steps < self.step_budget {
             if !self.net.step() {
-                self.broadcast_blocking(client_idx, &session);
+                self.broadcast(client_idx, &session.request_message());
             }
             steps += 1;
             let pending: Vec<LoggedReply> = self.clients[client_idx]

@@ -7,7 +7,7 @@
 //! check) but must never panic, hang, or allocate absurdly.
 
 use peats_auth::KeyTable;
-use peats_codec::{Decode, Encode};
+use peats_codec::{Decode, DecodeError, Encode};
 use peats_policy::OpCall;
 use peats_replication::{
     Message, OpResult, ReplicaSnapshot, Request, RequestOp, Sealed, WaitKind, WalRecord,
@@ -310,4 +310,16 @@ proptest! {
         prop_assert!(ReplicaSnapshot::from_bytes(&bytes).is_err());
         prop_assert!(Message::from_bytes(&bytes).is_err());
     }
+}
+
+/// An envelope header claiming a 4 GiB body over a few real bytes is
+/// refused on the length check itself — before the body is read or any
+/// buffer is sized from the claim.
+#[test]
+fn truncated_envelope_claiming_4gib_is_rejected_before_allocation() {
+    let keys = KeyTable::new(1, b"fuzz-master".to_vec());
+    let mut bytes = Sealed::seal(&keys, 2, &sample_messages()[0]).to_bytes();
+    bytes.truncate(8 + 32 + 4 + 3); // from, mac, length prefix, 3 body bytes
+    bytes[40..44].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert_eq!(Sealed::from_bytes(&bytes), Err(DecodeError::LengthOverflow));
 }
