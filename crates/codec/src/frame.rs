@@ -10,7 +10,9 @@
 //!
 //! These helpers are the single framing implementation shared by
 //! `peats-net`'s connection threads — per-connection ad-hoc framing is how
-//! length-confusion bugs happen.
+//! length-confusion bugs happen. A connection's reader uses the buffered
+//! [`FrameReader`] (one `read` can deliver many frames); its senders build
+//! their bytes with [`append_frame`].
 //!
 //! The *checked* variants ([`write_checked_frame`] / [`read_checked_frame`])
 //! add a CRC-32 of the payload after the length prefix. They exist for the
@@ -85,54 +87,149 @@ impl From<io::Error> for FrameError {
 /// would reject it anyway — fail at the writer, where the bug is), or the
 /// underlying [`io::Error`].
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8], max: usize) -> Result<(), FrameError> {
-    if payload.len() > max || payload.len() > u32::MAX as usize {
-        return Err(FrameError::TooLarge {
-            len: payload.len() as u64,
-            max,
-        });
-    }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    w.write_all(&length_prefix(payload.len(), max)?)?;
     w.write_all(payload)?;
     Ok(())
 }
 
-/// Reads one frame; `Ok(None)` on a clean end-of-stream (the peer closed
-/// between frames). Zero-length frames are valid and return an empty
-/// buffer.
+/// The length prefix of a `len`-byte payload, or [`FrameError::TooLarge`]
+/// when it exceeds `max` (or what a `u32` can say).
+fn length_prefix(len: usize, max: usize) -> Result<[u8; 4], FrameError> {
+    match u32::try_from(len) {
+        Ok(prefix) if len <= max => Ok(prefix.to_le_bytes()),
+        _ => Err(FrameError::TooLarge {
+            len: len as u64,
+            max,
+        }),
+    }
+}
+
+/// Appends one frame to `buf` whose payload is `head` followed by `body` —
+/// how a sender coalesces several frames into the bytes of one `write`
+/// without first joining each payload's two parts.
 ///
 /// # Errors
 ///
-/// Returns [`FrameError::TooLarge`] when the advertised length exceeds
-/// `max` (before allocating anything), or [`FrameError::Io`] on stream
-/// failure — including an end-of-stream *inside* a frame, which is
-/// truncation, not a clean close.
-pub fn read_frame<R: Read>(r: &mut R, max: usize) -> Result<Option<Vec<u8>>, FrameError> {
-    let mut prefix = [0u8; 4];
-    let mut got = 0;
-    while got < prefix.len() {
-        match r.read(&mut prefix[got..]) {
-            Ok(0) if got == 0 => return Ok(None), // clean EOF between frames
-            Ok(0) => {
-                return Err(FrameError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "stream ended inside a frame length prefix",
-                )))
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(FrameError::Io(e)),
+/// Returns [`FrameError::TooLarge`] (and appends nothing) when the payload
+/// exceeds `max`, as [`write_frame`] does.
+pub fn append_frame(
+    buf: &mut Vec<u8>,
+    head: &[u8],
+    body: &[u8],
+    max: usize,
+) -> Result<(), FrameError> {
+    let len = head.len() + body.len();
+    let prefix = length_prefix(len, max)?;
+    buf.reserve(prefix.len() + len);
+    buf.extend_from_slice(&prefix);
+    buf.extend_from_slice(head);
+    buf.extend_from_slice(body);
+    Ok(())
+}
+
+/// How many bytes a [`FrameReader`] asks its stream for at a time: room
+/// for a burst of small frames in one `read`, small enough to hold per
+/// connection.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// Reads frames off a stream through a buffer: one `read` can deliver many
+/// frames (senders coalesce them), and a frame's payload is handed out as a
+/// slice of the buffer, so the caller copies exactly the bytes it keeps.
+/// The defences of the module docs hold here: a length is checked against
+/// the cap before the buffer grows for it, and a stream that ends inside a
+/// frame is an error, not a clean close.
+#[derive(Debug)]
+pub struct FrameReader<R> {
+    inner: R,
+    max: usize,
+    buf: Vec<u8>,
+    /// The unconsumed bytes are `buf[start..end]`.
+    start: usize,
+    end: usize,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// Wraps `inner`; frames longer than `max` are rejected.
+    pub fn new(inner: R, max: usize) -> Self {
+        FrameReader {
+            inner,
+            max,
+            buf: vec![0; READ_CHUNK],
+            start: 0,
+            end: 0,
         }
     }
-    let len = u32::from_le_bytes(prefix) as usize;
-    if len > max {
-        return Err(FrameError::TooLarge {
-            len: len as u64,
-            max,
-        });
+
+    /// The next frame's payload, valid until the next call; `Ok(None)` on
+    /// a clean end-of-stream (the peer closed between frames). Zero-length
+    /// frames are valid and yield an empty slice.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FrameError::TooLarge`] when the advertised length exceeds
+    /// the cap (before allocating anything), or [`FrameError::Io`] on
+    /// stream failure — including an end-of-stream *inside* a frame, which
+    /// is truncation, not a clean close.
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, FrameError> {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+            // A frame larger than the chunk grew the buffer; give it back.
+            if self.buf.len() > READ_CHUNK {
+                self.buf = vec![0; READ_CHUNK];
+            }
+        }
+        if !self.fill(4)? {
+            if self.start == self.end {
+                return Ok(None); // clean EOF between frames
+            }
+            return Err(truncated("stream ended inside a frame length prefix"));
+        }
+        let prefix = self.buf[self.start..self.start + 4]
+            .try_into()
+            .expect("fill buffered 4 bytes");
+        let len = u32::from_le_bytes(prefix) as usize;
+        let Some(framed) = len.checked_add(4).filter(|_| len <= self.max) else {
+            return Err(FrameError::TooLarge {
+                len: len as u64,
+                max: self.max,
+            });
+        };
+        if !self.fill(framed)? {
+            return Err(truncated("stream ended inside a frame"));
+        }
+        let body = self.start + 4;
+        self.start = body + len;
+        Ok(Some(&self.buf[body..self.start]))
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
+
+    /// Buffers at least `want` unconsumed bytes; `Ok(false)` when the
+    /// stream ends first.
+    fn fill(&mut self, want: usize) -> io::Result<bool> {
+        if self.start + want > self.buf.len() {
+            // Slide the unconsumed tail to the front; grow only for a frame
+            // larger than the whole buffer (its length passed the cap).
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+            if want > self.buf.len() {
+                self.buf.resize(want, 0);
+            }
+        }
+        while self.end - self.start < want {
+            match self.inner.read(&mut self.buf[self.end..]) {
+                Ok(0) => return Ok(false),
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(true)
+    }
+}
+
+fn truncated(what: &'static str) -> FrameError {
+    FrameError::Io(io::Error::new(io::ErrorKind::UnexpectedEof, what))
 }
 
 /// Reflected CRC-32 polynomial (IEEE 802.3, the zlib/PNG one).
@@ -204,13 +301,7 @@ pub fn write_checked_frame<W: Write>(
     payload: &[u8],
     max: usize,
 ) -> Result<(), FrameError> {
-    if payload.len() > max || payload.len() > u32::MAX as usize {
-        return Err(FrameError::TooLarge {
-            len: payload.len() as u64,
-            max,
-        });
-    }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    w.write_all(&length_prefix(payload.len(), max)?)?;
     w.write_all(&crc32(payload).to_le_bytes())?;
     w.write_all(payload)?;
     Ok(())
@@ -231,12 +322,7 @@ pub fn read_checked_frame<R: Read>(r: &mut R, max: usize) -> Result<Option<Vec<u
     while got < header.len() {
         match r.read(&mut header[got..]) {
             Ok(0) if got == 0 => return Ok(None), // clean EOF between frames
-            Ok(0) => {
-                return Err(FrameError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "stream ended inside a checked-frame header",
-                )))
-            }
+            Ok(0) => return Err(truncated("stream ended inside a checked-frame header")),
             Ok(n) => got += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(FrameError::Io(e)),
@@ -278,42 +364,11 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello", DEFAULT_MAX_FRAME).unwrap();
-        write_frame(&mut buf, b"", DEFAULT_MAX_FRAME).unwrap();
-        write_frame(&mut buf, &[0xAB; 300], DEFAULT_MAX_FRAME).unwrap();
-        let mut r = Cursor::new(buf);
-        assert_eq!(
-            read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap().unwrap(),
-            b"hello"
-        );
-        assert_eq!(read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap().unwrap(), b"");
-        assert_eq!(
-            read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap().unwrap(),
-            vec![0xAB; 300]
-        );
-        assert!(read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap().is_none());
-    }
-
-    #[test]
-    fn split_reads_reassemble() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"split across many reads", DEFAULT_MAX_FRAME).unwrap();
-        let mut r = OneByteAtATime(Cursor::new(buf));
-        assert_eq!(
-            read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap().unwrap(),
-            b"split across many reads"
-        );
-        assert!(read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap().is_none());
-    }
-
-    #[test]
     fn oversized_length_rejected_without_allocating() {
         // A hostile 4 GiB-ish length prefix with no payload behind it.
         let mut buf = Vec::new();
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        match read_frame(&mut Cursor::new(buf), 1024) {
+        match FrameReader::new(Cursor::new(buf), 1024).next_frame() {
             Err(FrameError::TooLarge { len, max }) => {
                 assert_eq!(len, u64::from(u32::MAX));
                 assert_eq!(max, 1024);
@@ -338,7 +393,7 @@ mod tests {
     #[test]
     fn truncation_inside_prefix_is_an_error_not_eof() {
         let buf = vec![5u8, 0]; // half a length prefix, then EOF
-        match read_frame(&mut Cursor::new(buf), 1024) {
+        match FrameReader::new(Cursor::new(buf), 1024).next_frame() {
             Err(FrameError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
             other => panic!("expected Io(UnexpectedEof), got {other:?}"),
         }
@@ -349,7 +404,7 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"full payload", DEFAULT_MAX_FRAME).unwrap();
         buf.truncate(buf.len() - 3);
-        match read_frame(&mut Cursor::new(buf), DEFAULT_MAX_FRAME) {
+        match FrameReader::new(Cursor::new(buf), DEFAULT_MAX_FRAME).next_frame() {
             Err(FrameError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
             other => panic!("expected Io(UnexpectedEof), got {other:?}"),
         }
@@ -359,8 +414,84 @@ mod tests {
     fn zero_length_frame_roundtrips_under_a_tiny_cap() {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"", 0).unwrap();
-        let mut r = Cursor::new(buf);
-        assert_eq!(read_frame(&mut r, 0).unwrap().unwrap(), b"");
+        let mut r = FrameReader::new(Cursor::new(buf), 0);
+        assert_eq!(r.next_frame().unwrap().unwrap(), b"");
+    }
+
+    #[test]
+    fn append_frame_writes_the_bytes_write_frame_does() {
+        let mut joined = Vec::new();
+        write_frame(&mut joined, b"head+body", DEFAULT_MAX_FRAME).unwrap();
+        let mut parts = Vec::new();
+        append_frame(&mut parts, b"head", b"+body", DEFAULT_MAX_FRAME).unwrap();
+        assert_eq!(parts, joined);
+        assert!(matches!(
+            append_frame(&mut parts, &[0; 40], &[0; 60], 64),
+            Err(FrameError::TooLarge { len: 100, max: 64 })
+        ));
+        assert_eq!(parts, joined, "a rejected frame appends nothing");
+    }
+
+    #[test]
+    fn roundtrip_of_a_coalesced_burst_whole_and_split_into_single_bytes() {
+        let frames: [&[u8]; 4] = [b"one", b"", &[0xCD; 300], b"four"];
+        let mut buf = Vec::new();
+        for f in frames {
+            write_frame(&mut buf, f, DEFAULT_MAX_FRAME).unwrap();
+        }
+        for split in [false, true] {
+            let bytes = Cursor::new(buf.clone());
+            let mut r: FrameReader<Box<dyn Read>> = FrameReader::new(
+                if split {
+                    Box::new(OneByteAtATime(bytes))
+                } else {
+                    Box::new(bytes)
+                },
+                DEFAULT_MAX_FRAME,
+            );
+            for f in frames {
+                assert_eq!(r.next_frame().unwrap().unwrap(), f);
+            }
+            assert!(r.next_frame().unwrap().is_none(), "clean close");
+        }
+    }
+
+    #[test]
+    fn buffered_reader_grows_only_for_a_checked_length_and_shrinks_back() {
+        let big = vec![0x5A; 3 * READ_CHUNK];
+        let mut buf = Vec::new();
+        write_frame(&mut buf, b"small", DEFAULT_MAX_FRAME).unwrap();
+        write_frame(&mut buf, &big, DEFAULT_MAX_FRAME).unwrap();
+        write_frame(&mut buf, b"after", DEFAULT_MAX_FRAME).unwrap();
+        // A hostile length in the middle of an otherwise buffered burst.
+        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        buf.extend_from_slice(b"never read");
+        let mut r = FrameReader::new(Cursor::new(buf), 4 * READ_CHUNK);
+        assert_eq!(r.next_frame().unwrap().unwrap(), b"small");
+        assert_eq!(r.next_frame().unwrap().unwrap(), big);
+        assert!(r.buf.len() > READ_CHUNK, "grew for a length under the cap");
+        assert_eq!(r.next_frame().unwrap().unwrap(), b"after");
+        assert_eq!(r.buf.len(), READ_CHUNK, "an emptied buffer shrinks back");
+        match r.next_frame() {
+            Err(FrameError::TooLarge { len, .. }) => assert_eq!(len, u64::from(u32::MAX)),
+            other => panic!("expected TooLarge, got {other:?}"),
+        }
+        assert_eq!(r.buf.len(), READ_CHUNK, "nothing allocated for it");
+    }
+
+    #[test]
+    fn buffered_reader_truncation_inside_a_burst_is_an_error() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, b"whole", DEFAULT_MAX_FRAME).unwrap();
+        write_frame(&mut buf, b"cut short", DEFAULT_MAX_FRAME).unwrap();
+        for cut in [2, 7] {
+            let mut r = FrameReader::new(Cursor::new(&buf[..buf.len() - cut]), DEFAULT_MAX_FRAME);
+            assert_eq!(r.next_frame().unwrap().unwrap(), b"whole");
+            match r.next_frame() {
+                Err(FrameError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+                other => panic!("cut {cut}: expected Io(UnexpectedEof), got {other:?}"),
+            }
+        }
     }
 
     /// The bit-at-a-time CRC-32 the table-driven one replaced, kept as its

@@ -17,8 +17,8 @@
 pub mod frame;
 
 pub use frame::{
-    crc32, read_checked_frame, read_frame, write_checked_frame, write_frame, FrameError,
-    DEFAULT_MAX_FRAME,
+    append_frame, crc32, read_checked_frame, write_checked_frame, write_frame, FrameError,
+    FrameReader, DEFAULT_MAX_FRAME,
 };
 
 use peats_policy::OpCall;

@@ -1,10 +1,10 @@
 //! Adversarial fuzzing of the length-prefixed framing layer: byte streams
-//! are attacker-controlled, so [`read_frame`] must reject garbage,
+//! are attacker-controlled, so [`FrameReader`] must reject garbage,
 //! truncations, and hostile length prefixes without panicking — and
 //! without allocating a buffer for a length it hasn't validated.
 
 use peats_codec::{
-    read_checked_frame, read_frame, write_checked_frame, write_frame, Decode, Encode, FrameError,
+    read_checked_frame, write_checked_frame, write_frame, Decode, Encode, FrameError, FrameReader,
 };
 use peats_policy::OpCall;
 use peats_tuplespace::{template, tuple, Template};
@@ -43,9 +43,9 @@ proptest! {
     /// it does yield were actually carried by the stream.
     #[test]
     fn random_streams_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
-        let mut r = Cursor::new(bytes.clone());
+        let mut r = FrameReader::new(Cursor::new(bytes), 64);
         // Clean EOF or a decode error ends the stream; neither may panic.
-        while let Ok(Some(frame)) = read_frame(&mut r, 64) {
+        while let Ok(Some(frame)) = r.next_frame() {
             prop_assert!(frame.len() <= 64);
         }
     }
@@ -56,10 +56,10 @@ proptest! {
     fn roundtrip_survives_split_reads(payload in proptest::collection::vec(any::<u8>(), 0..96)) {
         let mut buf = Vec::new();
         write_frame(&mut buf, &payload, 96).expect("within cap");
-        let mut r = OneByteReader { data: buf, pos: 0 };
-        let frame = read_frame(&mut r, 96).expect("valid stream").expect("one frame");
-        prop_assert_eq!(frame, payload);
-        prop_assert!(read_frame(&mut r, 96).expect("clean EOF").is_none());
+        let mut r = FrameReader::new(OneByteReader { data: buf, pos: 0 }, 96);
+        let frame = r.next_frame().expect("valid stream").expect("one frame");
+        prop_assert_eq!(frame, &payload[..]);
+        prop_assert!(r.next_frame().expect("clean EOF").is_none());
     }
 
     /// Every `OpCall` variant survives a framed round trip — even through
@@ -70,9 +70,9 @@ proptest! {
         let bytes = op.to_bytes();
         let mut buf = Vec::new();
         write_frame(&mut buf, &bytes, 4096).expect("within cap");
-        let mut r = OneByteReader { data: buf, pos: 0 };
-        let frame = read_frame(&mut r, 4096).expect("valid stream").expect("one frame");
-        prop_assert_eq!(&OpCall::from_bytes(&frame).expect("valid opcall"), op);
+        let mut r = FrameReader::new(OneByteReader { data: buf, pos: 0 }, 4096);
+        let frame = r.next_frame().expect("valid stream").expect("one frame");
+        prop_assert_eq!(&OpCall::from_bytes(frame).expect("valid opcall"), op);
     }
 
     /// Truncations and single-byte corruptions of any `OpCall` encoding
@@ -98,9 +98,9 @@ proptest! {
         let bytes = t.to_bytes();
         let mut buf = Vec::new();
         write_frame(&mut buf, &bytes, 4096).expect("within cap");
-        let mut r = OneByteReader { data: buf, pos: 0 };
-        let frame = read_frame(&mut r, 4096).expect("valid stream").expect("one frame");
-        prop_assert_eq!(&Template::from_bytes(&frame).expect("valid template"), t);
+        let mut r = FrameReader::new(OneByteReader { data: buf, pos: 0 }, 4096);
+        let frame = r.next_frame().expect("valid stream").expect("one frame");
+        prop_assert_eq!(&Template::from_bytes(frame).expect("valid template"), t);
     }
 
     /// Truncations and single-byte corruptions of a bare template encoding
@@ -175,13 +175,115 @@ proptest! {
         let len = 64 + u32::try_from(extra).unwrap_or(u32::MAX);
         let mut stream = len.to_le_bytes().to_vec();
         stream.extend_from_slice(&tail);
-        match read_frame(&mut Cursor::new(stream), 64) {
+        match FrameReader::new(Cursor::new(stream), 64).next_frame() {
             Err(FrameError::TooLarge { len: l, max }) => {
                 prop_assert_eq!(l, u64::from(len));
                 prop_assert_eq!(max, 64);
             }
             other => prop_assert!(false, "expected TooLarge, got {other:?}"),
         }
+    }
+
+    /// A coalesced burst of frames comes out of the buffered reader
+    /// identical however the stream chunks it; cutting the burst anywhere
+    /// yields the whole frames before the cut and then a clean close (on a
+    /// frame boundary) or a truncation error (inside a frame).
+    #[test]
+    fn buffered_reader_survives_arbitrary_chunking(
+        frames in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..96), 0..12),
+        chunk_seed in any::<u64>(),
+        max_chunk in 1usize..40,
+        cut_seed in 0usize..10_000,
+    ) {
+        let mut stream = Vec::new();
+        let mut boundaries = vec![0];
+        for f in &frames {
+            write_frame(&mut stream, f, 96).expect("within cap");
+            boundaries.push(stream.len());
+        }
+        let chunked = |data: &[u8]| ChunkedReader {
+            data: data.to_vec(),
+            pos: 0,
+            rng: proptest::test_runner::TestRng::from_seed(chunk_seed),
+            max_chunk,
+        };
+        let mut r = FrameReader::new(chunked(&stream), 96);
+        for f in &frames {
+            prop_assert_eq!(r.next_frame().expect("valid stream").expect("a frame"), &f[..]);
+        }
+        prop_assert!(r.next_frame().expect("clean EOF").is_none());
+
+        let cut = cut_seed % (stream.len() + 1);
+        let whole = boundaries.iter().filter(|&&b| b != 0 && b <= cut).count();
+        let mut r = FrameReader::new(chunked(&stream[..cut]), 96);
+        for f in &frames[..whole] {
+            prop_assert_eq!(r.next_frame().expect("before the cut").expect("a frame"), &f[..]);
+        }
+        match r.next_frame() {
+            Ok(None) => prop_assert!(boundaries.contains(&cut), "cut {cut} inside a frame read as a clean close"),
+            Ok(Some(f)) => prop_assert!(false, "cut stream yielded an extra frame of {} bytes", f.len()),
+            Err(FrameError::Io(e)) => {
+                prop_assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof);
+                prop_assert!(!boundaries.contains(&cut), "cut {cut} on a boundary is a clean close");
+            }
+            Err(other) => prop_assert!(false, "unexpected error {other:?}"),
+        }
+    }
+
+    /// A hostile length behind any number of good frames in the same
+    /// buffered burst is rejected, after the good frames were delivered.
+    #[test]
+    fn buffered_reader_rejects_an_oversized_prefix_mid_burst(
+        good in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..64), 0..6),
+        extra in 1u32..1_000_000,
+        max_chunk in 1usize..200,
+    ) {
+        let mut stream = Vec::new();
+        for f in &good {
+            write_frame(&mut stream, f, 64).expect("within cap");
+        }
+        stream.extend_from_slice(&(64 + extra).to_le_bytes());
+        stream.extend_from_slice(&[0xEE; 32]);
+        let mut r = FrameReader::new(
+            ChunkedReader {
+                data: stream,
+                pos: 0,
+                rng: proptest::test_runner::TestRng::from_seed(u64::from(extra)),
+                max_chunk,
+            },
+            64,
+        );
+        for f in &good {
+            prop_assert_eq!(r.next_frame().expect("good frame").expect("a frame"), &f[..]);
+        }
+        match r.next_frame() {
+            Err(FrameError::TooLarge { len, max }) => {
+                prop_assert_eq!(len, u64::from(64 + extra));
+                prop_assert_eq!(max, 64);
+            }
+            other => prop_assert!(false, "expected TooLarge, got {other:?}"),
+        }
+    }
+}
+
+/// Delivers its bytes in random chunks of `1..=max_chunk` — a socket
+/// splitting and merging frames however it likes.
+struct ChunkedReader {
+    data: Vec<u8>,
+    pos: usize,
+    rng: proptest::test_runner::TestRng,
+    max_chunk: usize,
+}
+
+impl std::io::Read for ChunkedReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.data.len() - self.pos;
+        let n = (1 + self.rng.below(self.max_chunk))
+            .min(left)
+            .min(buf.len());
+        buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
     }
 }
 

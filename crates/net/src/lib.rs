@@ -8,8 +8,10 @@
 //! over a real network.
 //!
 //! * [`tcp`] — [`TcpTransport`]/[`TcpMailbox`]: length-prefixed frames,
-//!   thread-per-connection, reconnect with backoff, bounded drop-oldest
-//!   outbound queues;
+//!   a reader thread per connection, reconnect with backoff, sends written
+//!   from the calling thread (one bounded `write` per peer per batch) with
+//!   a bounded drop-oldest queue behind every link that is down or
+//!   backlogged;
 //! * [`cluster`] — [`TcpCluster`]: an in-process loopback harness (every
 //!   replica a thread, every connection a real socket) for tests and
 //!   benchmarks;
@@ -37,8 +39,9 @@ pub struct TcpConfig {
     /// Largest frame accepted or produced; bigger inbound lengths
     /// disconnect the peer before any allocation.
     pub max_frame: usize,
-    /// Bound on each per-connection outbound queue; when full the oldest
-    /// frame is shed (asynchronous model — the protocol retransmits).
+    /// Bound on each link's outbound queue (where frames wait while the
+    /// link is down or backlogged); when full the oldest frame is shed
+    /// (asynchronous model — the protocol retransmits).
     pub queue_depth: usize,
     /// First reconnect delay after a failed dial.
     pub reconnect_min: Duration,
@@ -47,7 +50,8 @@ pub struct TcpConfig {
     /// Per-attempt dial timeout.
     pub connect_timeout: Duration,
     /// Artificial delay before each frame write — injected network
-    /// latency for benchmarks; zero (the default) disables it.
+    /// latency for benchmarks; zero (the default) disables it. Slept by the
+    /// link's own thread, never by the sender.
     pub send_delay: Duration,
 }
 

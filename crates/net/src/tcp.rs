@@ -16,54 +16,109 @@
 //! which is how replicas reach clients they have no configured address
 //! for: the reply rides the connection the client opened.
 //!
-//! Sends never block the caller: each connection has a bounded outbound
-//! queue that sheds its *oldest* frame when full, matching the
-//! asynchronous-model semantics of
-//! [`ThreadNet::send`](peats_netsim::ThreadNet) (messages may be dropped;
-//! the protocol layer retransmits). Malformed, oversized, or truncated
+//! A send costs its caller at most one bounded socket write. When the
+//! link to the peer is up and nothing is queued on it, the caller's frames
+//! — a whole event-loop pass of them, through
+//! [`Transport::send_batch`] — are written from the calling thread with
+//! one `write` under the fixed [`WRITE_TIMEOUT`]. A write that fails or
+//! times out tears the connection down, counts its frames as dropped and
+//! hands the link back to its dialer, so a peer that stops draining its
+//! socket costs a correct sender at most one timeout per socket buffer of
+//! traffic. Everything else goes to the link's bounded queue, which sheds
+//! its *oldest* frame when full and is drained by the link's own thread:
+//! frames for a link that is down or backlogged, frames behind injected
+//! latency ([`TcpConfig::send_delay`] — the caller never sleeps), and
+//! bursts over [`DIRECT_MAX`], which an honest slow link may need longer
+//! than one timeout to take. Which path a frame takes is read off the
+//! link's state, never configured. Either way the semantics are those of
+//! [`ThreadNet::send`](peats_netsim::ThreadNet): messages may be dropped;
+//! the protocol layer retransmits. Malformed, oversized, or truncated
 //! frames disconnect the offending connection — never panic, never stall
-//! other connections; a dialed peer is re-dialed, a hostile accepted peer
-//! is simply gone.
+//! other connections; a dialed peer is re-dialed (its reader's EOF wakes
+//! the dialer at once, so nothing is written into a dead socket), a
+//! hostile accepted peer is simply gone.
 
 use crate::TcpConfig;
-use peats_codec::frame::{read_frame, write_frame};
+use peats_codec::frame::{append_frame, FrameReader};
 use peats_netsim::{Disconnected, Envelope, Mailbox, NodeId, Transport};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How often blocked link writers and the accept loop re-check the stop
+/// How often blocked link drainers and the accept loop re-check the stop
 /// flag.
 const STOP_POLL: Duration = Duration::from_millis(50);
 
-/// Outcome of waiting on a link's outbound queue.
-enum Popped {
+/// The socket write timeout of every connection: the longest a
+/// [`Transport::send`] can hold its caller. Long enough that a peer merely
+/// descheduled with a full socket buffer is not mistaken for a dead one.
+pub const WRITE_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// Largest burst written from the calling thread. A pass of protocol
+/// messages is far below it; a multi-megabyte state snapshot over an honest
+/// slow link can need longer than [`WRITE_TIMEOUT`], so it is left to the
+/// link's drainer, whose writes are bounded per syscall, not per frame.
+pub const DIRECT_MAX: usize = 64 * 1024;
+
+/// What a link's drainer thread should do next.
+enum Next {
+    /// Write this frame; the drainer holds the write token.
     Frame(Vec<u8>),
     Timeout,
+    /// The drainer's connection is no longer the link's.
+    Down,
     Closed,
 }
 
-/// A per-connection outbound queue: bounded, drop-oldest, condvar-woken.
+/// One peer's outbound side: the live connection (if any), the write token
+/// that serializes writers on it, and the bounded drop-oldest queue the
+/// link's drainer thread empties.
 struct Link {
     state: parking_lot::Mutex<LinkState>,
+    /// Wakes the drainer: a frame queued, the token returned, the
+    /// connection gone, or the link closed.
     cv: parking_lot::Condvar,
     dropped: AtomicU64,
 }
 
 struct LinkState {
+    /// Length-prefixed frames waiting for the drainer.
     queue: VecDeque<Vec<u8>>,
     closed: bool,
+    /// Write half of the live connection; `None` while the link is down.
+    conn: Option<Arc<TcpStream>>,
+    /// The write token: set by whoever is inside a `write` on `conn` — a
+    /// sender on the direct path or the drainer — so frames never
+    /// interleave and nobody holds the lock across a syscall.
+    writing: bool,
+}
+
+impl LinkState {
+    fn is_conn(&self, conn: &Arc<TcpStream>) -> bool {
+        self.conn.as_ref().is_some_and(|c| Arc::ptr_eq(c, conn))
+    }
+
+    /// Tears `conn` down; the link goes down with it if it was still the
+    /// link's connection.
+    fn drop_conn(&mut self, conn: &Arc<TcpStream>) {
+        if self.is_conn(conn) {
+            self.conn = None;
+        }
+        let _ = conn.shutdown(Shutdown::Both);
+    }
 }
 
 impl Link {
-    fn new() -> Arc<Link> {
+    fn new(conn: Option<Arc<TcpStream>>) -> Arc<Link> {
         Arc::new(Link {
             state: parking_lot::Mutex::new(LinkState {
                 queue: VecDeque::new(),
                 closed: false,
+                conn,
+                writing: false,
             }),
             cv: parking_lot::Condvar::new(),
             dropped: AtomicU64::new(0),
@@ -85,17 +140,55 @@ impl Link {
         self.cv.notify_one();
     }
 
-    fn pop(&self, timeout: Duration) -> Popped {
+    /// Claims the write token for the calling thread when the link is up
+    /// and nothing is queued ahead of it (order is per link).
+    fn begin_direct(&self) -> Option<Arc<TcpStream>> {
+        let mut st = self.state.lock();
+        if st.closed || st.writing || !st.queue.is_empty() {
+            return None;
+        }
+        let conn = st.conn.clone()?;
+        st.writing = true;
+        Some(conn)
+    }
+
+    /// Returns the write token; a failed write takes the connection down.
+    fn end_write(&self, conn: &Arc<TcpStream>, ok: bool) {
+        let mut st = self.state.lock();
+        st.writing = false;
+        if !ok {
+            st.drop_conn(conn);
+        }
+        if !ok || !st.queue.is_empty() {
+            self.cv.notify_one();
+        }
+    }
+
+    /// Marks the link down if `conn` is still its connection.
+    fn disconnect(&self, conn: &Arc<TcpStream>) {
+        self.state.lock().drop_conn(conn);
+        self.cv.notify_one();
+    }
+
+    /// The drainer's wait: the next queued frame (with the write token)
+    /// once no direct write is in flight on `conn`.
+    fn next(&self, conn: &Arc<TcpStream>, poll: Duration) -> Next {
         let mut st = self.state.lock();
         loop {
-            if let Some(f) = st.queue.pop_front() {
-                return Popped::Frame(f);
-            }
             if st.closed {
-                return Popped::Closed;
+                return Next::Closed;
             }
-            if self.cv.wait_for(&mut st, timeout) {
-                return Popped::Timeout;
+            if !st.is_conn(conn) {
+                return Next::Down;
+            }
+            if !st.writing {
+                if let Some(frame) = st.queue.pop_front() {
+                    st.writing = true;
+                    return Next::Frame(frame);
+                }
+            }
+            if self.cv.wait_for(&mut st, poll) {
+                return Next::Timeout;
             }
         }
     }
@@ -142,6 +235,61 @@ impl Shared {
 
     fn unregister_stream(&self, token: u64) {
         self.streams.lock().remove(&token);
+    }
+
+    /// Sends `payloads` to `to`, in order: one `write` from this thread when
+    /// the link allows it, the link's queue otherwise (see the module docs).
+    fn send_to(&self, to: NodeId, mut payloads: Vec<Vec<u8>>) {
+        if self.stopping() {
+            return;
+        }
+        if to == self.me {
+            // Loopback: straight into the local mailbox.
+            for payload in payloads {
+                let _ = self.inbox_tx.send((self.me, payload));
+            }
+            return;
+        }
+        // A configured peer's dial link, else the reverse link of a
+        // connection `to` opened to us. Neither: no configured address and
+        // no live connection from that peer — drop, exactly like
+        // ThreadNet's unknown-destination case.
+        let accepted = || self.accepted.lock().get(&to).cloned();
+        let Some(link) = self.dial_links.get(&to).cloned().or_else(accepted) else {
+            return;
+        };
+        let me = self.me.to_le_bytes();
+        let max = self.cfg.max_frame;
+        // The peer would reject an oversized frame and drop the connection
+        // with it: fail at the writer, where the bug is.
+        let offered = payloads.len();
+        payloads.retain(|p| me.len() + p.len() <= max);
+        link.dropped
+            .fetch_add((offered - payloads.len()) as u64, Ordering::Relaxed);
+        let framed = |buf: &mut Vec<u8>, payload: &[u8]| {
+            append_frame(buf, &me, payload, max).expect("length checked above");
+        };
+        let burst_len: usize = payloads.iter().map(|p| 4 + me.len() + p.len()).sum();
+        let direct = self.cfg.send_delay.is_zero() && (1..=DIRECT_MAX).contains(&burst_len);
+        match direct.then(|| link.begin_direct()).flatten() {
+            Some(conn) => {
+                let mut burst = Vec::with_capacity(burst_len);
+                payloads.iter().for_each(|p| framed(&mut burst, p));
+                let ok = write_once(&conn, &burst);
+                if !ok {
+                    link.dropped
+                        .fetch_add(payloads.len() as u64, Ordering::Relaxed);
+                }
+                link.end_write(&conn, ok);
+            }
+            None => {
+                for payload in payloads {
+                    let mut frame = Vec::with_capacity(4 + me.len() + payload.len());
+                    framed(&mut frame, &payload);
+                    link.push(frame, self.cfg.queue_depth);
+                }
+            }
+        }
     }
 
     /// Sleeps `total` in small slices, returning early on stop.
@@ -222,7 +370,7 @@ impl TcpTransport {
         let dial_links: BTreeMap<NodeId, Arc<Link>> = peers
             .keys()
             .filter(|&&id| id != me)
-            .map(|&id| (id, Link::new()))
+            .map(|&id| (id, Link::new(None)))
             .collect();
         let shared = Arc::new(Shared {
             me,
@@ -296,25 +444,21 @@ impl Transport for TcpTransport {
     type Mailbox = TcpMailbox;
 
     fn send(&self, _from: NodeId, to: NodeId, payload: Vec<u8>) {
-        let shared = &self.shared;
-        if shared.stopping() {
-            return;
+        self.shared.send_to(to, vec![payload]);
+    }
+
+    fn send_batch(&self, _from: NodeId, batch: Vec<(NodeId, Vec<u8>)>) {
+        // Group by peer, keeping each peer's frames in order.
+        let mut by_peer: Vec<(NodeId, Vec<Vec<u8>>)> = Vec::new();
+        for (to, payload) in batch {
+            match by_peer.iter_mut().find(|(peer, _)| *peer == to) {
+                Some((_, payloads)) => payloads.push(payload),
+                None => by_peer.push((to, vec![payload])),
+            }
         }
-        if to == shared.me {
-            // Loopback: straight into the local mailbox.
-            let _ = shared.inbox_tx.send((shared.me, payload));
-            return;
+        for (to, payloads) in by_peer {
+            self.shared.send_to(to, payloads);
         }
-        let mut frame = Vec::with_capacity(4 + payload.len());
-        frame.extend_from_slice(&shared.me.to_le_bytes());
-        frame.extend_from_slice(&payload);
-        if let Some(link) = shared.dial_links.get(&to) {
-            link.push(frame, shared.cfg.queue_depth);
-        } else if let Some(link) = shared.accepted.lock().get(&to) {
-            link.push(frame, shared.cfg.queue_depth);
-        }
-        // Otherwise: no configured address and no live connection from that
-        // peer — drop, exactly like ThreadNet's unknown-destination case.
     }
 
     fn peers(&self) -> Vec<NodeId> {
@@ -377,15 +521,14 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
         }
         match listener.accept() {
             Ok((stream, _peer)) => {
-                if stream.set_nonblocking(false).is_err() {
+                if stream.set_nonblocking(false).is_err() || !prepare(&stream) {
                     continue;
                 }
-                let _ = stream.set_nodelay(true);
                 let shared = Arc::clone(&shared);
                 // Accepted connections register reverse links: the reader
-                // learns the peer's id from its frames and wires a writer
+                // learns the peer's id from its frames and wires a link
                 // over this same stream.
-                std::thread::spawn(move || reader_loop(shared, stream, true));
+                std::thread::spawn(move || reader_loop(shared, stream, Role::Accepted));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(STOP_POLL.min(Duration::from_millis(20)));
@@ -399,36 +542,68 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
     }
 }
 
+/// Socket options of every connection. The write timeout is what bounds a
+/// send (module docs), so a socket that will not take it is not used.
+fn prepare(stream: &TcpStream) -> bool {
+    let _ = stream.set_nodelay(true);
+    stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_ok()
+}
+
+/// One `write` of a whole burst: `true` only if the socket took all of it.
+/// On these blocking sockets a short count means [`WRITE_TIMEOUT`] expired
+/// with the peer not draining — the stream is torn mid-frame either way.
+fn write_once(mut conn: &TcpStream, burst: &[u8]) -> bool {
+    loop {
+        match conn.write(burst) {
+            Ok(n) => return n == burst.len(),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => return false,
+        }
+    }
+}
+
+/// Which end of a connection a reader serves.
+enum Role {
+    /// The peer dialed us: its first frame registers a reverse link whose
+    /// writers share this stream.
+    Accepted,
+    /// We dialed: the write half already belongs to this link (a reverse
+    /// link here would put two writers on one stream and tear frames), and
+    /// the link goes down the moment this reader sees the connection end.
+    Dialed(Arc<Link>, Arc<TcpStream>),
+}
+
 /// Reads frames off one connection into the inbox until EOF, a malformed
-/// frame, stream error, or shutdown. When `register_reverse` is set
-/// (accepted connections), the peer's first frame registers a reverse link
-/// whose writer shares this stream; dialed connections must NOT register
-/// one — their write half is owned by the dial loop, and two writers on
-/// one stream would interleave (tear) frames.
-fn reader_loop(shared: Arc<Shared>, mut stream: TcpStream, register_reverse: bool) {
+/// frame, stream error, or shutdown.
+fn reader_loop(shared: Arc<Shared>, stream: TcpStream, role: Role) {
     let token = shared.register_stream(&stream);
     let mut reverse: Option<(NodeId, Arc<Link>)> = None;
+    let mut frames = FrameReader::new(&stream, shared.cfg.max_frame);
     // A clean EOF, oversized length claim (hostile), or stream error
     // (including truncation mid-frame) falls out of the `while let` and
     // disconnects this connection. Dialed peers get re-dialed by their
     // dial loop; accepted peers must dial back in.
-    while let Ok(Some(frame)) = read_frame(&mut stream, shared.cfg.max_frame) {
+    while let Ok(Some(frame)) = frames.next_frame() {
         if frame.len() < 4 {
             // Malformed: no room for the sender id. Drop the connection;
             // never panic.
             break;
         }
-        let from = NodeId::from_le_bytes(frame[..4].try_into().expect("length checked above"));
-        if register_reverse && reverse.as_ref().map(|(id, _)| *id) != Some(from) {
+        let (id, body) = frame.split_at(4);
+        let from = NodeId::from_le_bytes(id.try_into().expect("split at 4"));
+        if matches!(role, Role::Accepted) && reverse.as_ref().map(|(id, _)| *id) != Some(from) {
             match register_reverse_link(&shared, &stream, from) {
                 Some(link) => reverse = Some((from, link)),
                 None => break, // stream unusable for writing
             }
         }
         // A 4-byte frame is a hello: registration only, nothing to deliver.
-        if frame.len() > 4 && shared.inbox_tx.send((from, frame[4..].to_vec())).is_err() {
+        if !body.is_empty() && shared.inbox_tx.send((from, body.to_vec())).is_err() {
             break; // mailbox gone: endpoint is shutting down
         }
+    }
+    if let Role::Dialed(link, conn) = &role {
+        link.disconnect(conn);
     }
     if let Some((id, link)) = reverse {
         link.close();
@@ -443,115 +618,107 @@ fn reader_loop(shared: Arc<Shared>, mut stream: TcpStream, register_reverse: boo
     shared.unregister_stream(token);
 }
 
-/// Wires a reverse link for an accepted connection: a bounded queue plus a
-/// writer thread owning a clone of the stream.
+/// Wires a reverse link for an accepted connection: a link that is up from
+/// the start, plus a drainer thread, both over a clone of the stream.
 fn register_reverse_link(
     shared: &Arc<Shared>,
     stream: &TcpStream,
     peer: NodeId,
 ) -> Option<Arc<Link>> {
-    let write_half = stream.try_clone().ok()?;
-    let link = Link::new();
+    let conn = Arc::new(stream.try_clone().ok()?);
+    let link = Link::new(Some(Arc::clone(&conn)));
     if let Some(old) = shared.accepted.lock().insert(peer, Arc::clone(&link)) {
-        // The peer reconnected; the old connection's writer winds down.
+        // The peer reconnected; the old connection's drainer winds down.
         old.close();
     }
     {
         let shared = Arc::clone(shared);
         let link = Arc::clone(&link);
-        std::thread::spawn(move || stream_writer(shared, write_half, link));
+        std::thread::spawn(move || {
+            let token = shared.register_stream(&conn);
+            // No reconnect here: the *peer* owns reconnection, so however
+            // the drain ends, the link is done.
+            drain(&shared, &link, &conn);
+            link.close();
+            shared.unregister_stream(token);
+        });
     }
     Some(link)
 }
 
-/// Drains one link's queue onto one stream until the link closes, the
-/// stream dies, or shutdown. No reconnect — used for accepted connections,
-/// where the *peer* owns reconnection.
-fn stream_writer(shared: Arc<Shared>, stream: TcpStream, link: Arc<Link>) {
-    let token = shared.register_stream(&stream);
-    let mut w = BufWriter::new(stream);
+/// Writes `link`'s queued frames to `conn` until the connection stops
+/// being the link's (`false`: the caller may reconnect) or the link closes
+/// or the endpoint stops (`true`).
+fn drain(shared: &Shared, link: &Link, conn: &Arc<TcpStream>) -> bool {
     loop {
-        match link.pop(STOP_POLL) {
-            Popped::Frame(frame) => {
+        match link.next(conn, STOP_POLL) {
+            Next::Frame(frame) => {
                 if !shared.cfg.send_delay.is_zero() {
                     std::thread::sleep(shared.cfg.send_delay);
                 }
-                if write_frame(&mut w, &frame, shared.cfg.max_frame).is_err() || w.flush().is_err()
-                {
-                    break;
+                // A frame whose write fails is lost (asynchronous model);
+                // everything still queued survives for the next connection.
+                let ok = (&**conn).write_all(&frame).is_ok();
+                if !ok {
+                    link.dropped.fetch_add(1, Ordering::Relaxed);
                 }
+                link.end_write(conn, ok);
             }
-            Popped::Timeout => {
+            Next::Timeout => {
                 if shared.stopping() {
-                    break;
+                    return true;
                 }
             }
-            Popped::Closed => break,
+            Next::Down => return false,
+            Next::Closed => return true,
         }
     }
-    link.close();
-    shared.unregister_stream(token);
 }
 
 /// Owns the outbound connection to one configured peer: connect (with
-/// exponential backoff), announce ourselves with a hello frame, spawn a
-/// reader for whatever the peer sends back on this connection, then drain
-/// the link's queue; on any write failure, reconnect and keep going.
+/// exponential backoff), announce ourselves with a hello frame, bring the
+/// link up, spawn a reader for whatever the peer sends back on this
+/// connection, then drain the link's queue; when the connection goes down
+/// — a failed write from any thread, or the reader seeing it end —
+/// reconnect and keep going.
 fn dial_loop(shared: Arc<Shared>, addr: SocketAddr, link: Arc<Link>) {
     let mut backoff = shared.cfg.reconnect_min;
-    'reconnect: while !shared.stopping() {
+    while !shared.stopping() {
         let stream = match TcpStream::connect_timeout(&addr, shared.cfg.connect_timeout) {
-            Ok(s) => s,
-            Err(_) => {
+            Ok(s) if prepare(&s) => s,
+            _ => {
                 shared.interruptible_sleep(backoff);
                 backoff = (backoff * 2).min(shared.cfg.reconnect_max);
                 continue;
             }
         };
         backoff = shared.cfg.reconnect_min;
-        let _ = stream.set_nodelay(true);
         let token = shared.register_stream(&stream);
-        if let Ok(read_half) = stream.try_clone() {
-            let shared = Arc::clone(&shared);
-            // The peer's replies can ride this connection; no reverse link
-            // (we already own the write half right here).
-            std::thread::spawn(move || reader_loop(shared, read_half, false));
-        }
-        let mut w = BufWriter::new(stream);
+        let read_half = stream.try_clone();
+        let conn = Arc::new(stream);
         // Hello: announce our id so the acceptor can route to us before we
-        // send any real traffic.
-        let hello = shared.me.to_le_bytes().to_vec();
-        if write_frame(&mut w, &hello, shared.cfg.max_frame).is_err() || w.flush().is_err() {
-            shared.unregister_stream(token);
-            continue 'reconnect;
-        }
-        loop {
-            match link.pop(STOP_POLL) {
-                Popped::Frame(frame) => {
-                    if !shared.cfg.send_delay.is_zero() {
-                        std::thread::sleep(shared.cfg.send_delay);
-                    }
-                    if write_frame(&mut w, &frame, shared.cfg.max_frame).is_err()
-                        || w.flush().is_err()
-                    {
-                        // The frame being written is lost (asynchronous
-                        // model); everything still queued survives for the
-                        // next connection.
-                        shared.unregister_stream(token);
-                        continue 'reconnect;
-                    }
-                }
-                Popped::Timeout => {
-                    if shared.stopping() {
-                        shared.unregister_stream(token);
-                        return;
-                    }
-                }
-                Popped::Closed => {
-                    shared.unregister_stream(token);
-                    return;
-                }
+        // send any real traffic. Nobody else can write yet — the link is
+        // still down.
+        let mut hello = Vec::new();
+        append_frame(&mut hello, &shared.me.to_le_bytes(), &[], 4)
+            .expect("4 bytes under a cap of 4");
+        let mut stopped = false;
+        if (&*conn).write_all(&hello).is_ok() {
+            link.state.lock().conn = Some(Arc::clone(&conn));
+            if let Ok(read_half) = read_half {
+                let shared = Arc::clone(&shared);
+                let role = Role::Dialed(Arc::clone(&link), Arc::clone(&conn));
+                // The peer's replies can ride this connection.
+                std::thread::spawn(move || reader_loop(shared, read_half, role));
             }
+            stopped = drain(&shared, &link, &conn);
         }
+        shared.unregister_stream(token);
+        if stopped {
+            return;
+        }
+        // A peer that accepts and hangs up at once must not turn this into
+        // a busy loop.
+        shared.interruptible_sleep(backoff);
     }
 }

@@ -1,9 +1,11 @@
 //! Socket-level tests of [`TcpTransport`] and the [`TcpCluster`] loopback
 //! harness: bidirectional delivery, reverse-link replies to dial-only
-//! clients, bounded drop-oldest queues, malformed-frame resilience, and
-//! full kill/respawn recovery of a replica over real sockets.
+//! clients, bounded drop-oldest queues, bounded sends to a peer that never
+//! reads, malformed-frame resilience, and full kill/respawn recovery of a
+//! replica over real sockets.
 
 use peats::TupleSpace;
+use peats_net::tcp::WRITE_TIMEOUT;
 use peats_net::{TcpCluster, TcpClusterConfig, TcpConfig, TcpTransport};
 use peats_netsim::{Mailbox, NodeId, Transport};
 use peats_policy::{Policy, PolicyParams};
@@ -191,7 +193,7 @@ fn peer_reconnects_after_endpoint_restart() {
         ..TcpConfig::default()
     };
     let (b, b_mb) = TcpTransport::from_listener(1, l, BTreeMap::new(), cfg.clone()).unwrap();
-    let (a, _a_mb) = TcpTransport::connect(0, [(1, addr)].into_iter().collect(), cfg.clone());
+    let (a, a_mb) = TcpTransport::connect(0, [(1, addr)].into_iter().collect(), cfg.clone());
 
     a.send(0, 1, b"before".to_vec());
     assert_eq!(
@@ -204,19 +206,135 @@ fn peer_reconnects_after_endpoint_restart() {
     drop(b_mb);
     let (b2, b2_mb) = TcpTransport::from_listener(1, keeper, BTreeMap::new(), cfg).unwrap();
 
-    // The dialer's reconnect-with-backoff must find the new incarnation;
-    // retransmissions (fresh sends) get through.
+    // The dialer learns that its connection died from its reader's EOF, not
+    // from a failed write: without `a` sending anything, it re-dials and
+    // says hello to the new incarnation — which can then reach `a` over the
+    // reverse link (until then, node 0 is unknown to it and pings vanish).
     let deadline = Instant::now() + Duration::from_secs(10);
-    let mut delivered = false;
-    while !delivered && Instant::now() < deadline {
-        a.send(0, 1, b"after".to_vec());
-        if let Ok(Some((0, p))) = b2_mb.recv_timeout(Duration::from_millis(100)) {
-            delivered = p == b"after";
-        }
+    let mut redialed = false;
+    while !redialed && Instant::now() < deadline {
+        b2.send(1, 0, b"ping".to_vec());
+        redialed = matches!(
+            a_mb.recv_timeout(Duration::from_millis(50)),
+            Ok(Some((1, p))) if p == b"ping"
+        );
     }
-    assert!(delivered, "dialer must reconnect to the restarted endpoint");
+    assert!(
+        redialed,
+        "an idle dialer must notice the restart and re-dial"
+    );
+
+    // So the first frame after the restart goes onto a live connection:
+    // sent once, no protocol-level retransmit, it arrives.
+    a.send(0, 1, b"after".to_vec());
+    assert_eq!(
+        recv_payload(&b2_mb, Duration::from_secs(5)),
+        Some((0, b"after".to_vec()))
+    );
     a.shutdown();
     b2.shutdown();
+}
+
+/// Accepts (and keeps, unread) every connection `listener` has pending.
+fn hold_pending(listener: &TcpListener, held: &mut Vec<TcpStream>) {
+    while let Ok((stream, _)) = listener.accept() {
+        held.push(stream);
+    }
+}
+
+#[test]
+fn a_peer_that_never_reads_costs_bounded_sends_and_only_its_own_link() {
+    // Node 1 is a raw listener whose connections are accepted and never
+    // read; node 2 is a healthy endpoint.
+    let stuck = TcpListener::bind("127.0.0.1:0").unwrap();
+    stuck.set_nonblocking(true).unwrap();
+    let healthy_l = TcpListener::bind("127.0.0.1:0").unwrap();
+    let peers: BTreeMap<NodeId, SocketAddr> = [
+        (1, stuck.local_addr().unwrap()),
+        (2, healthy_l.local_addr().unwrap()),
+    ]
+    .into_iter()
+    .collect();
+    let (healthy, healthy_mb) =
+        TcpTransport::from_listener(2, healthy_l, BTreeMap::new(), TcpConfig::default()).unwrap();
+    let (a, _a_mb) = TcpTransport::connect(0, peers, TcpConfig::default());
+
+    let mut held = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while held.is_empty() && Instant::now() < deadline {
+        hold_pending(&stuck, &mut held);
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(held.len(), 1, "the dialer connected to the stuck peer");
+
+    // 16 MiB at the stuck peer — several socket buffers' worth — in frames
+    // small enough for the caller-thread write, interleaved with a counter
+    // to the healthy peer.
+    const FRAMES: u32 = 512;
+    let mut slowest = Duration::ZERO;
+    for i in 0..FRAMES {
+        let t = Instant::now();
+        a.send(0, 1, vec![0xAB; 32 * 1024]);
+        slowest = slowest.max(t.elapsed());
+        a.send(0, 2, i.to_le_bytes().to_vec());
+    }
+    assert!(
+        slowest < 3 * WRITE_TIMEOUT,
+        "a send to a peer that stopped reading is bounded by the write timeout, took {slowest:?}"
+    );
+    for i in 0..FRAMES {
+        assert_eq!(
+            recv_payload(&healthy_mb, Duration::from_secs(5)),
+            Some((0, i.to_le_bytes().to_vec())),
+            "the healthy link delivers everything, in order"
+        );
+    }
+    // The timed-out write tore the connection down, counted its frames as
+    // dropped, and handed the link back to the dialer, which re-dialed.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while (held.len() < 2 || a.dropped_outbound() == 0) && Instant::now() < deadline {
+        hold_pending(&stuck, &mut held);
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(held.len() >= 2, "the link to the stuck peer reconnected");
+    assert!(a.dropped_outbound() > 0, "lost frames are counted");
+    a.shutdown();
+    healthy.shutdown();
+}
+
+#[test]
+fn injected_send_delay_is_slept_by_the_link_not_the_caller() {
+    let delay = Duration::from_millis(100);
+    let cfg = TcpConfig {
+        send_delay: delay,
+        ..TcpConfig::default()
+    };
+    let ((t0, _m0), (t1, m1)) = pair(cfg);
+    // Once a first frame is through, the link is up and idle — the state in
+    // which an undelayed send would be written by the caller.
+    t0.send(0, 1, vec![0]);
+    assert_eq!(
+        recv_payload(&m1, Duration::from_secs(5)),
+        Some((0, vec![0]))
+    );
+    let t = Instant::now();
+    for i in 1..=5u8 {
+        t0.send(0, 1, vec![i]);
+    }
+    let sending = t.elapsed();
+    assert!(
+        sending < delay,
+        "five delayed frames took the caller {sending:?}"
+    );
+    for i in 1..=5u8 {
+        assert_eq!(
+            recv_payload(&m1, Duration::from_secs(5)),
+            Some((0, vec![i]))
+        );
+    }
+    assert!(t.elapsed() >= 5 * delay, "each frame still pays the delay");
+    t0.shutdown();
+    t1.shutdown();
 }
 
 fn quick_cluster_cfg() -> TcpClusterConfig {
@@ -304,6 +422,48 @@ fn killed_replica_recovers_via_state_transfer_over_sockets() {
     );
     assert_eq!(h.rdp(&template!["PRE", 0]).unwrap(), Some(tuple!["PRE", 0]));
     cluster.shutdown();
+}
+
+#[test]
+fn durable_tcp_cluster_shares_a_sync_among_the_slots_of_a_pass() {
+    let dir = std::env::temp_dir().join(format!("peats-tcp-syncs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let pids = [100, 101, 102, 103];
+    let cfg = TcpClusterConfig {
+        cluster: ClusterConfig {
+            data_dir: Some(dir.clone()),
+            ..ClusterConfig::default()
+        },
+        tcp: TcpConfig::default(),
+    };
+    let mut cluster =
+        TcpCluster::start(Policy::allow_all(), PolicyParams::new(), 1, &pids, cfg).unwrap();
+    let handles: Vec<_> = (0..pids.len()).map(|i| cluster.handle(i)).collect();
+    std::thread::scope(|scope| {
+        for (c, h) in handles.iter().enumerate() {
+            scope.spawn(move || {
+                for i in 0..50i64 {
+                    h.out(tuple!["W", c as i64, i]).unwrap();
+                }
+            });
+        }
+    });
+    for id in 0..cluster.n_replicas() {
+        let fp = cluster.replica_footprint(id);
+        // Every executed slot was appended; a sync covers every slot its
+        // pass executed, so there are never more syncs than slots.
+        eprintln!(
+            "replica {id}: {} slots executed, {} WAL appends, {} WAL syncs",
+            cluster.last_exec(id),
+            fp.wal_appends,
+            fp.wal_syncs
+        );
+        assert!(fp.wal_appends > 0);
+        assert!(fp.wal_appends <= cluster.last_exec(id));
+        assert!(fp.wal_syncs <= fp.wal_appends);
+    }
+    cluster.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -68,6 +68,16 @@ pub trait Transport: Clone + Send + 'static {
     /// Sends `payload` from `from` to `to`.
     fn send(&self, from: NodeId, to: NodeId, payload: Vec<u8>);
 
+    /// Sends every `(to, payload)` of `batch` from `from`, in order. One
+    /// event-loop pass hands its whole output here so a transport can
+    /// amortize over it (a socket transport writes each peer's frames in
+    /// one syscall); the default is a loop over [`send`](Self::send).
+    fn send_batch(&self, from: NodeId, batch: Vec<(NodeId, Vec<u8>)>) {
+        for (to, payload) in batch {
+            self.send(from, to, payload);
+        }
+    }
+
     /// The node ids this transport can address (the configured peer set,
     /// including the local node where it is addressable).
     fn peers(&self) -> Vec<NodeId>;

@@ -102,6 +102,10 @@ pub struct ReplicaFootprint {
     pub wal_segments: usize,
     /// Bytes across retained snapshot files.
     pub snapshot_bytes: u64,
+    /// Batches appended to the write-ahead log since it was opened.
+    pub wal_appends: u64,
+    /// Log syncs that had something to flush since it was opened.
+    pub wal_syncs: u64,
 }
 
 /// Destination of an output message.
@@ -469,6 +473,8 @@ impl Replica {
             wal_bytes: disk.wal_bytes,
             wal_segments: disk.wal_segments,
             snapshot_bytes: disk.snapshot_bytes,
+            wal_appends: disk.appends,
+            wal_syncs: disk.syncs,
         }
     }
 
@@ -482,8 +488,21 @@ impl Replica {
 
     /// Handles an authenticated message from transport node `from`
     /// (replicas are nodes `0..n`; clients are higher node ids).
-    /// Returns the messages to send.
+    /// Returns the messages to send; everything returned is safe to send —
+    /// what the message executed is on disk. A pass of one:
+    /// [`step`](Self::step), then [`sync`](Self::sync).
     pub fn on_message(&mut self, from: u64, msg: Message) -> Vec<(Dest, Message)> {
+        let out = self.step(from, msg);
+        self.sync();
+        out
+    }
+
+    /// [`on_message`](Self::on_message) without the sync, so an event loop
+    /// can feed a whole pass of messages and sync once: batches executed
+    /// here are appended to the log but not yet synced. Outputs for other
+    /// replicas may be sent at once; outputs for clients ([`Dest::Client`])
+    /// must wait for [`sync`](Self::sync).
+    pub fn step(&mut self, from: u64, msg: Message) -> Vec<(Dest, Message)> {
         if matches!(self.fault, FaultMode::Crashed) {
             return Vec::new();
         }
@@ -960,7 +979,7 @@ impl Replica {
             slot.executed = true;
             let batch = slot.batch.clone().expect("checked above");
             // Write-ahead: the batch reaches the log before any of its
-            // effects reach the service. Synced once per pass, below.
+            // effects reach the service. Synced once per pass (`sync`).
             if let Some(store) = self.store.as_mut() {
                 if let Err(e) = store.append_batch(next, &batch) {
                     Self::warn_disk(self.cfg.id, "wal append", &e);
@@ -1028,18 +1047,22 @@ impl Replica {
                 self.emit_checkpoint(next, out);
             }
         }
-        // One fsync per execution pass: the durability analogue of
-        // batching by backpressure — heavy load amortizes the sync over
-        // the whole window, light load pays it per request.
+        // Executed slots free the in-flight window: the primary drains any
+        // backlog that accumulated while the window was full.
+        self.try_assign(out);
+    }
+
+    /// Makes every batch appended since the last sync durable: one fsync
+    /// per pass — heavy load amortizes it over everything the pass
+    /// executed, light load pays it per request. Nothing to do (and nothing
+    /// counted) when no batch was appended.
+    pub fn sync(&mut self) {
         if let Some(store) = self.store.as_mut() {
             if let Err(e) = store.sync() {
                 Self::warn_disk(self.cfg.id, "wal sync", &e);
                 self.store = None;
             }
         }
-        // Executed slots free the in-flight window: the primary drains any
-        // backlog that accumulated while the window was full.
-        self.try_assign(out);
     }
 
     /// Disk failures degrade the replica to memory-only rather than
@@ -2102,29 +2125,37 @@ mod tests {
         batch: &[Request],
         voters: [u32; 2],
     ) -> Vec<(Dest, Message)> {
+        commit_slot_via(p, seq, batch, voters, Replica::on_message)
+    }
+
+    /// [`commit_slot_with`], delivering through `deliver` (`on_message`, or
+    /// the no-sync `step`).
+    fn commit_slot_via(
+        p: &mut Replica,
+        seq: Seq,
+        batch: &[Request],
+        voters: [u32; 2],
+        deliver: fn(&mut Replica, u64, Message) -> Vec<(Dest, Message)>,
+    ) -> Vec<(Dest, Message)> {
         let digest = batch_digest(batch);
         for r in voters {
-            p.on_message(
-                u64::from(r),
-                Message::Prepare {
-                    view: p.view(),
-                    seq,
-                    digest,
-                    replica: r,
-                },
-            );
+            let prepare = Message::Prepare {
+                view: p.view(),
+                seq,
+                digest,
+                replica: r,
+            };
+            deliver(p, u64::from(r), prepare);
         }
         let mut out = Vec::new();
         for r in voters {
-            out = p.on_message(
-                u64::from(r),
-                Message::Commit {
-                    view: p.view(),
-                    seq,
-                    digest,
-                    replica: r,
-                },
-            );
+            let commit = Message::Commit {
+                view: p.view(),
+                seq,
+                digest,
+                replica: r,
+            };
+            out = deliver(p, u64::from(r), commit);
         }
         out
     }
@@ -3178,5 +3209,50 @@ mod tests {
         // An unregistered node (impersonation) is dropped entirely.
         let out = p.on_message(99, read_request(3, OpCall::rdp(template!["T", ?x])));
         assert!(out.is_empty(), "unregistered reader must be dropped");
+    }
+
+    /// A primary (one request per slot, two slots in flight) logging to a
+    /// fresh temp dir.
+    fn mk_durable_primary(tag: &str) -> (Replica, std::path::PathBuf) {
+        let dir = crate::wal::fresh_dir(tag);
+        let (store, recovery) = DurableStore::open(&dir, Default::default()).unwrap();
+        let mut p = mk_primary(1, 2);
+        p.restore_durable(store, recovery);
+        (p, dir)
+    }
+
+    #[test]
+    fn a_pass_of_two_slots_appends_twice_and_syncs_once() {
+        let (mut p, dir) = mk_durable_primary("pass");
+        p.step(CLIENT_NODE, Message::Request(req(1)));
+        p.step(CLIENT_NODE, Message::Request(req(2)));
+        let out1 = commit_slot_via(&mut p, 1, &[req(1)], [1, 2], Replica::step);
+        // The committing step hands back the reply with nothing synced yet:
+        // holding it until the sync is the caller's half of the contract.
+        assert_eq!(reply_ids(&out1), vec![1]);
+        assert_eq!((p.footprint().wal_appends, p.footprint().wal_syncs), (1, 0));
+        let out2 = commit_slot_via(&mut p, 2, &[req(2)], [1, 2], Replica::step);
+        assert_eq!(reply_ids(&out2), vec![2]);
+        assert_eq!((p.footprint().wal_appends, p.footprint().wal_syncs), (2, 0));
+        p.sync();
+        assert_eq!((p.footprint().wal_appends, p.footprint().wal_syncs), (2, 1));
+        p.sync();
+        assert_eq!(
+            p.footprint().wal_syncs,
+            1,
+            "a clean log has nothing to sync"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn on_message_syncs_what_it_executed_before_returning() {
+        let (mut p, dir) = mk_durable_primary("one");
+        p.on_message(CLIENT_NODE, Message::Request(req(1)));
+        assert_eq!(p.footprint().wal_syncs, 0, "nothing executed yet");
+        let out = commit_slot(&mut p, 1, &[req(1)]);
+        assert_eq!(reply_ids(&out), vec![1]);
+        assert_eq!((p.footprint().wal_appends, p.footprint().wal_syncs), (1, 1));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -80,7 +80,8 @@ impl Default for ClientConfig {
     }
 }
 
-/// Seals and ships a batch of replica outputs over any transport.
+/// Seals a batch of replica outputs and hands it to the transport as one
+/// [`Transport::send_batch`].
 pub fn ship<T: Transport>(
     net: &T,
     keys: &KeyTable,
@@ -88,24 +89,41 @@ pub fn ship<T: Transport>(
     n: usize,
     outputs: Vec<(Dest, Message)>,
 ) {
+    let mut frames = Vec::new();
     for (dest, msg) in outputs {
         // Encoded once per output: the frames of a broadcast differ only in
         // their MAC.
         let body = msg.to_bytes();
-        let send = |peer: u64| net.send(me, peer as NodeId, Sealed::frame(keys, peer, &body));
+        let mut seal = |peer: u64| frames.push((peer as NodeId, Sealed::frame(keys, peer, &body)));
         match dest {
-            Dest::Replica(r) => send(u64::from(r)),
-            Dest::AllReplicas => (0..n as u64).filter(|&r| r != u64::from(me)).for_each(send),
-            Dest::Client(node) => send(node),
+            Dest::Replica(r) => seal(u64::from(r)),
+            Dest::AllReplicas => (0..n as u64).filter(|&r| r != u64::from(me)).for_each(seal),
+            Dest::Client(node) => seal(node),
         }
     }
+    net.send_batch(me, frames);
 }
+
+/// Most envelopes one pass takes from the mailbox before it flushes: a
+/// flooding peer can keep the mailbox from ever running empty, but cannot
+/// postpone a flush or the progress-timeout check by more than one capped
+/// pass.
+const MAX_PASS: usize = 64;
 
 /// The replica event loop: drives one [`Replica`] state machine from a
 /// transport mailbox until `stop` is set or the transport disconnects.
 /// This is the loop a replica thread runs in [`ThreadedCluster`] and the
 /// loop `peatsd` runs as a whole OS process — same code, different
 /// [`Transport`].
+///
+/// The loop works in *passes*. It blocks for one envelope, then takes
+/// whatever else is already waiting (up to `MAX_PASS`, 64), feeding each
+/// message to [`Replica::step`] and collecting the outputs. Then it
+/// flushes: outputs for other replicas (votes, checkpoints) are shipped,
+/// the write-ahead log is synced — once, however many batches the pass
+/// executed — and only then are the outputs for clients shipped. A client
+/// therefore never sees a result that is not yet on this replica's disk,
+/// and this replica's fsync is off the other replicas' critical path.
 ///
 /// [`ThreadedCluster`]: crate::ThreadedCluster
 pub fn replica_main<T: Transport>(
@@ -126,8 +144,8 @@ pub fn replica_main<T: Transport>(
     // suppress view changes indefinitely.
     //
     // The replica is behind a mutex (uncontended except for test
-    // introspection and fault/restart injection); the lock is held per
-    // state-machine call, never across a blocking receive.
+    // introspection and fault/restart injection); the lock is never held
+    // across a blocking receive or a send.
     let mut next_check = Instant::now() + progress_period;
     loop {
         if stop.load(Ordering::Relaxed) {
@@ -150,20 +168,30 @@ pub fn replica_main<T: Transport>(
             next_check = Instant::now() + progress_period;
         }
         let wait = next_check.saturating_duration_since(Instant::now());
-        match mailbox.recv_timeout(wait) {
-            Ok(Some((_, payload))) => {
-                let Ok(sealed) = Sealed::from_bytes(&payload) else {
-                    continue;
-                };
-                let Some((sender, msg)) = sealed.open(&keys) else {
-                    continue;
-                };
-                let outputs = replica.lock().on_message(sender, msg);
-                ship(&net, &keys, me, n, outputs);
+        let first = match mailbox.recv_timeout(wait) {
+            Ok(Some(envelope)) => envelope,
+            Ok(None) => continue, // deadline reached; handled at the top of the loop
+            Err(_) => return,     // transport gone
+        };
+        let mut outputs = Vec::new();
+        {
+            let mut replica = replica.lock();
+            let waiting = std::iter::from_fn(|| mailbox.try_recv());
+            for (_, payload) in std::iter::once(first).chain(waiting).take(MAX_PASS) {
+                let opened = Sealed::from_bytes(&payload)
+                    .ok()
+                    .and_then(|sealed| sealed.open(&keys));
+                if let Some((sender, msg)) = opened {
+                    outputs.extend(replica.step(sender, msg));
+                }
             }
-            Ok(None) => {}    // deadline reached; handled at the top of the loop
-            Err(_) => return, // transport gone
         }
+        let (to_clients, to_replicas) = outputs
+            .into_iter()
+            .partition(|(dest, _)| matches!(dest, Dest::Client(_)));
+        ship(&net, &keys, me, n, to_replicas);
+        replica.lock().sync();
+        ship(&net, &keys, me, n, to_clients);
     }
 }
 
@@ -1011,5 +1039,242 @@ impl<T: Transport> std::fmt::Debug for ReplicatedPeats<T> {
             .field("pid", &self.pid)
             .field("replicas", &self.n_replicas)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::messages::{batch_digest, Request};
+    use crate::replica::ReplicaConfig;
+    use crate::service::PeatsService;
+    use crate::wal::DurableStore;
+    use peats_netsim::{Disconnected, Envelope};
+    use peats_policy::{Policy, PolicyParams};
+    use peats_tuplespace::tuple;
+
+    const MASTER: &[u8] = b"runtime-test-master";
+    const CLIENT_NODE: NodeId = 4;
+    const CLIENT_PID: u64 = 100;
+
+    /// One frame `replica_main` sent: where to, which message, and how many
+    /// WAL syncs the replica had done by then.
+    struct Sent {
+        to: NodeId,
+        msg: Message,
+        syncs_before: u64,
+    }
+
+    /// A transport that delivers nothing and records everything.
+    #[derive(Clone)]
+    struct RecordingNet {
+        replica: Arc<parking_lot::Mutex<Replica>>,
+        sent: Arc<parking_lot::Mutex<Vec<Sent>>>,
+    }
+
+    impl Transport for RecordingNet {
+        type Mailbox = ScriptedMailbox;
+
+        fn send(&self, _from: NodeId, to: NodeId, payload: Vec<u8>) {
+            let syncs_before = self.replica.lock().footprint().wal_syncs;
+            let keys = KeyTable::new(u64::from(to), MASTER.to_vec());
+            let (_, msg) = Sealed::from_bytes(&payload)
+                .ok()
+                .and_then(|sealed| sealed.open(&keys))
+                .expect("replica_main seals for the frame's recipient");
+            self.sent.lock().push(Sent {
+                to,
+                msg,
+                syncs_before,
+            });
+        }
+
+        fn peers(&self) -> Vec<NodeId> {
+            (0..4).collect()
+        }
+    }
+
+    /// A mailbox fed by the test; with `flood` set it is never empty — a
+    /// peer refilling it faster than the loop drains it, with no memory.
+    struct ScriptedMailbox {
+        id: NodeId,
+        rx: mpsc::Receiver<Envelope>,
+        flood: Option<Envelope>,
+    }
+
+    impl Mailbox for ScriptedMailbox {
+        fn id(&self) -> NodeId {
+            self.id
+        }
+
+        fn recv(&self) -> Option<Envelope> {
+            self.rx.recv().ok()
+        }
+
+        fn recv_timeout(&self, timeout: Duration) -> Result<Option<Envelope>, Disconnected> {
+            if let Some(envelope) = self.try_recv() {
+                return Ok(Some(envelope));
+            }
+            match self.rx.recv_timeout(timeout) {
+                Ok(envelope) => Ok(Some(envelope)),
+                Err(mpsc::RecvTimeoutError::Timeout) => Ok(None),
+                Err(mpsc::RecvTimeoutError::Disconnected) => Err(Disconnected),
+            }
+        }
+
+        fn try_recv(&self) -> Option<Envelope> {
+            self.rx.try_recv().ok().or_else(|| self.flood.clone())
+        }
+    }
+
+    fn replica(id: u32) -> Replica {
+        Replica::new(
+            ReplicaConfig {
+                batch_cap: 1,
+                max_in_flight: 2,
+                ..ReplicaConfig::new(id, 4, 1)
+            },
+            PeatsService::new(Policy::allow_all(), PolicyParams::new()).unwrap(),
+            [(u64::from(CLIENT_NODE), CLIENT_PID)].into_iter().collect(),
+        )
+    }
+
+    fn request(i: u64) -> Request {
+        Request::call(CLIENT_PID, i, OpCall::out(tuple!["T", i as i64]))
+    }
+
+    /// `msg` as node `from` would put it on the wire for replica `to`.
+    fn sealed(from: NodeId, to: u32, msg: &Message) -> Envelope {
+        let keys = KeyTable::new(u64::from(from), MASTER.to_vec());
+        (from, Sealed::frame(&keys, u64::from(to), &msg.to_bytes()))
+    }
+
+    /// Runs `replica_main` for `replica` (node `id`) over a scripted mailbox until
+    /// `done` holds for the frames it sent (or 10 s pass).
+    fn run_until(
+        id: NodeId,
+        replica: Replica,
+        script: Vec<Envelope>,
+        flood: Option<Envelope>,
+        progress_period: Duration,
+        done: impl Fn(&[Sent]) -> bool,
+    ) -> (Vec<Sent>, Replica) {
+        let replica = Arc::new(parking_lot::Mutex::new(replica));
+        let net = RecordingNet {
+            replica: Arc::clone(&replica),
+            sent: Arc::default(),
+        };
+        let (tx, rx) = mpsc::channel();
+        script.into_iter().for_each(|e| tx.send(e).unwrap());
+        let mailbox = ScriptedMailbox { id, rx, flood };
+        let stop = Arc::new(AtomicBool::new(false));
+        let main = {
+            let (replica, net, stop) = (Arc::clone(&replica), net.clone(), Arc::clone(&stop));
+            let keys = KeyTable::new(u64::from(id), MASTER.to_vec());
+            std::thread::spawn(move || {
+                replica_main::<RecordingNet>(replica, keys, mailbox, net, 4, stop, progress_period)
+            })
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done(&net.sent.lock()) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // Checked before the join: a loop stuck inside one endless pass
+        // never looks at `stop`, and must fail the test, not hang it.
+        assert!(done(&net.sent.lock()), "replica_main never got there");
+        stop.store(true, Ordering::Relaxed);
+        drop(tx); // an idle loop wakes on the disconnect
+        main.join().expect("replica_main panicked");
+        let sent = std::mem::take(&mut *net.sent.lock());
+        drop(net);
+        let replica = Arc::try_unwrap(replica)
+            .unwrap_or_else(|_| panic!("replica_main kept the replica"))
+            .into_inner();
+        (sent, replica)
+    }
+
+    #[test]
+    fn a_pass_ships_votes_before_its_one_sync_and_replies_after() {
+        let dir = crate::wal::fresh_dir("runtime-pass");
+        let (store, recovery) = DurableStore::open(&dir, Default::default()).unwrap();
+        let mut primary = replica(0);
+        primary.restore_durable(store, recovery);
+
+        // Everything two slots need, waiting in the mailbox before the loop
+        // starts: one pass.
+        let mut script = vec![
+            sealed(CLIENT_NODE, 0, &Message::Request(request(1))),
+            sealed(CLIENT_NODE, 0, &Message::Request(request(2))),
+        ];
+        for seq in [1, 2] {
+            let digest = batch_digest(&[request(seq)]);
+            for replica in [1, 2] {
+                let prepare = Message::Prepare {
+                    view: 0,
+                    seq,
+                    digest,
+                    replica,
+                };
+                script.push(sealed(replica, 0, &prepare));
+            }
+            for replica in [1, 2] {
+                let commit = Message::Commit {
+                    view: 0,
+                    seq,
+                    digest,
+                    replica,
+                };
+                script.push(sealed(replica, 0, &commit));
+            }
+        }
+        let replies = |sent: &[Sent]| sent.iter().filter(|s| s.to == CLIENT_NODE).count();
+        let (sent, primary) =
+            run_until(0, primary, script, None, Duration::from_secs(60), |sent| {
+                replies(sent) == 2
+            });
+
+        assert_eq!(replies(&sent), 2, "both slots executed and answered");
+        let fp = primary.footprint();
+        assert_eq!(
+            (fp.wal_appends, fp.wal_syncs),
+            (2, 1),
+            "two slots in one pass"
+        );
+        for s in &sent {
+            match s.to {
+                CLIENT_NODE => {
+                    assert!(matches!(s.msg, Message::Reply { .. }));
+                    assert_eq!(s.syncs_before, 1, "a reply waits for its pass's sync");
+                }
+                _ => assert_eq!(s.syncs_before, 0, "{:?} must not wait for it", s.msg),
+            }
+        }
+        let commits_out = sent
+            .iter()
+            .filter(|s| matches!(s.msg, Message::Commit { .. }))
+            .count();
+        assert_eq!(commits_out, 2 * 3, "both slots' commit votes, to 3 peers");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_mailbox_that_never_runs_empty_cannot_starve_the_progress_check() {
+        // A backup holding a request its (dead) primary never orders, and a
+        // peer whose junk keeps `try_recv` from ever returning `None`: only
+        // the pass cap gets the loop back to its progress deadline.
+        let script = vec![sealed(CLIENT_NODE, 1, &Message::Request(request(1)))];
+        let junk = (3, Vec::new());
+        // The view-change vote must go out despite the flood.
+        run_until(
+            1,
+            replica(1),
+            script,
+            Some(junk),
+            Duration::from_millis(20),
+            |sent| {
+                sent.iter()
+                    .any(|s| matches!(s.msg, Message::ViewChange { .. }))
+            },
+        );
     }
 }

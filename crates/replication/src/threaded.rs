@@ -514,6 +514,51 @@ mod tests {
     }
 
     #[test]
+    fn flooded_mailbox_still_changes_view_and_orders_ops() {
+        // The primary of view 0 is dead, and a Byzantine client node pours
+        // garbage into the mailbox of replica 1 — the primary of
+        // view 1 — in bursts of twice the event loop's pass cap, for the
+        // whole run. Every pass still ends (the cap), so replica 1 reaches
+        // its progress deadline, votes the dead primary out, and then
+        // orders requests between the bursts.
+        let mut cluster = ThreadedCluster::start(
+            Policy::allow_all(),
+            PolicyParams::new(),
+            1,
+            &[100, 666],
+            &[FaultMode::Crashed],
+        )
+        .unwrap();
+        let h = cluster.handle(0);
+        let flooder = (cluster.n_replicas() + 1) as peats_netsim::NodeId;
+        let flooding = Arc::new(AtomicBool::new(true));
+        let flood = {
+            let (net, flooding) = (cluster.net.clone(), Arc::clone(&flooding));
+            std::thread::spawn(move || {
+                while flooding.load(Ordering::Relaxed) {
+                    for _ in 0..128 {
+                        net.send(flooder, 1, vec![0xFF; 8]);
+                    }
+                    std::thread::sleep(Duration::from_micros(500));
+                }
+            })
+        };
+        let start = Instant::now();
+        for i in 0..8i64 {
+            h.out(tuple!["FLOOD", i]).unwrap();
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(8),
+            "a flooded mailbox must not postpone the progress check"
+        );
+        assert!(cluster.replicas[1].lock().view() >= 1, "view change fired");
+        assert_eq!(h.count(&template!["FLOOD", ?i]).unwrap(), 8);
+        flooding.store(false, Ordering::Relaxed);
+        flood.join().unwrap();
+        cluster.shutdown();
+    }
+
+    #[test]
     fn retry_timer_resets_from_now_after_a_stall() {
         // A cluster that stays unresponsive longer than several retry
         // intervals (crashed primary + slow progress period) must produce

@@ -27,10 +27,11 @@
 //! into place, and carry a whole-file SHA-256 so a flipped byte anywhere is
 //! rejected at load; the previous snapshot is retained as the fallback,
 //! with enough log suffix to replay from it. (3) The log is fsynced once
-//! per execution pass (batched, like the batch boundary itself), so the
-//! window of acknowledged-but-unsynced operations is one batch — and those
-//! operations are re-fetched from the cluster on restart anyway, because
-//! recovery rejoins through the normal state-transfer path.
+//! per event-loop pass, after the pass's votes went to the other replicas
+//! and before any of its replies goes to a client: a client never holds a
+//! result this replica could lose, and whatever a crash cuts off the log's
+//! tail is re-fetched from the cluster, because recovery rejoins through
+//! the normal state-transfer path.
 
 use crate::messages::{ReplicaSnapshot, Request, Seq};
 use peats_auth::{sha256, Digest, DIGEST_LEN};
@@ -137,6 +138,11 @@ pub struct DiskMetrics {
     pub wal_segments: usize,
     /// Total bytes across retained snapshot files.
     pub snapshot_bytes: u64,
+    /// Batches appended to the log since this store was opened.
+    pub appends: u64,
+    /// Syncs that had unsynced writes to flush since this store was opened
+    /// (a sync of a clean log does nothing and is not counted).
+    pub syncs: u64,
 }
 
 /// A snapshot loaded from (or about to be written to) disk.
@@ -266,6 +272,9 @@ pub struct DurableStore {
     snapshots: Vec<(Seq, PathBuf, u64)>,
     /// Whether the current segment has unsynced writes.
     dirty: bool,
+    /// Counters behind [`DiskMetrics::appends`] / [`DiskMetrics::syncs`].
+    appends: u64,
+    syncs: u64,
 }
 
 fn segment_path(dir: &Path, index: u64) -> PathBuf {
@@ -379,13 +388,16 @@ impl DurableStore {
                 file,
                 snapshots,
                 dirty: false,
+                appends: 0,
+                syncs: 0,
             },
             recovery,
         ))
     }
 
     /// Appends one ordered batch to the log. Not yet synced — call
-    /// [`sync`](Self::sync) at the end of the execution pass.
+    /// [`sync`](Self::sync) before anything the batch produced is shown to
+    /// a client.
     ///
     /// # Errors
     ///
@@ -397,6 +409,7 @@ impl DurableStore {
         };
         self.append_record(&record)?;
         self.current.max_seq = self.current.max_seq.max(seq);
+        self.appends += 1;
         Ok(())
     }
 
@@ -413,8 +426,8 @@ impl DurableStore {
     }
 
     /// Flushes and (by policy) fsyncs the current segment — one call per
-    /// execution pass, so the sync cost is amortized over the whole batch
-    /// window exactly like the ordering round itself.
+    /// event-loop pass, so the sync cost is amortized over every batch the
+    /// pass executed.
     ///
     /// # Errors
     ///
@@ -428,6 +441,7 @@ impl DurableStore {
             self.file.sync_data()?;
         }
         self.dirty = false;
+        self.syncs += 1;
         Ok(())
     }
 
@@ -511,6 +525,8 @@ impl DurableStore {
             wal_bytes: self.current.bytes + self.sealed.iter().map(|s| s.bytes).sum::<u64>(),
             wal_segments: self.sealed.len() + 1,
             snapshot_bytes: self.snapshots.iter().map(|(_, _, b)| *b).sum(),
+            appends: self.appends,
+            syncs: self.syncs,
         }
     }
 }
@@ -572,6 +588,20 @@ fn scan_segment(path: &Path) -> io::Result<(Vec<WalRecord>, u64, bool)> {
     }
 }
 
+/// A not-yet-existing temp directory, unique per call, for a test's data.
+#[cfg(test)]
+pub(crate) fn fresh_dir(tag: &str) -> PathBuf {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "peats-wal-{tag}-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = fs::remove_dir_all(&dir);
+    dir
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -579,7 +609,6 @@ mod tests {
     use peats_policy::OpCall;
     use peats_tuplespace::tuple;
     use std::io::{Read, Seek, SeekFrom};
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Flips one byte `offset_from_end` before the end of `path`.
     fn flip_byte(path: &Path, offset_from_end: u64) -> io::Result<()> {
@@ -592,17 +621,6 @@ mod tests {
         f.seek(SeekFrom::Start(pos))?;
         f.write_all(&[b[0] ^ 0xFF])?;
         Ok(())
-    }
-
-    fn fresh_dir(tag: &str) -> PathBuf {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "peats-wal-{tag}-{}-{}",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        dir
     }
 
     fn req(client: u64, req_id: u64) -> Request {
