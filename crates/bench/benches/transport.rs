@@ -7,12 +7,25 @@
 //! the receiving mailbox, and what does handing one peer eight frames as
 //! one [`Transport::send_batch`] — the replica event loop's pass — save
 //! over eight `send`s.
+//!
+//! Those hops are sent and received by one thread. What a message costs
+//! when the receiver is *another* thread depends on what that thread was
+//! doing: `hop_to_thread` times `send` → "the receiver's thread has it"
+//! for a receiver still inside its mailbox's snooze (frames back to back)
+//! and for one that has parked (the sender idles 200 µs first). Their
+//! difference is the price of one sleep; `client_round_trip` is what a
+//! whole ordered `out` — some thirty such hand-offs — comes to.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use peats::{Policy, PolicyParams, TupleSpace};
 use peats_net::{TcpConfig, TcpTransport};
 use peats_netsim::{Mailbox, NodeId, ThreadNet, Transport};
+use peats_replication::ThreadedCluster;
+use peats_tuplespace::tuple;
 use std::collections::BTreeMap;
 use std::net::TcpListener;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 const FRAME: usize = 120;
 const BATCH: usize = 8;
@@ -53,6 +66,69 @@ fn bench_thread_net(c: &mut Criterion) {
     bench_all(c, "thread_net", &net, &mailboxes.remove(1));
 }
 
+/// `send` → the moment the receiving *thread* holds the frame, the sender
+/// idling `idle` before each frame. The receiver's report goes back over a
+/// separate channel, off the clock.
+fn bench_hop_to_thread(c: &mut Criterion) {
+    let (net, mut mailboxes) = ThreadNet::new(2);
+    let mailbox = mailboxes.remove(1);
+    let (got_tx, got_rx) = mpsc::channel();
+    let receiver = std::thread::spawn(move || {
+        while mailbox.recv().is_some() && got_tx.send(Instant::now()).is_ok() {}
+    });
+    let mut group = c.benchmark_group("transport/thread_net/hop_to_thread");
+    group.sample_size(SAMPLES);
+    for (name, idle) in [
+        ("receiver_awake", Duration::ZERO),
+        ("receiver_parked", Duration::from_micros(200)),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter_custom(|iters| {
+                let hop = |_| {
+                    std::thread::sleep(idle);
+                    let sent = Instant::now();
+                    net.send(0, 1, black_box(vec![0xA5; FRAME]));
+                    // Spinning, not blocking: a sender that slept here
+                    // would give the receiver time to park in both rows.
+                    let got = loop {
+                        match got_rx.try_recv() {
+                            Ok(got) => break got,
+                            Err(mpsc::TryRecvError::Empty) => std::hint::spin_loop(),
+                            Err(mpsc::TryRecvError::Disconnected) => panic!("receiver died"),
+                        }
+                    };
+                    got.saturating_duration_since(sent)
+                };
+                (0..iters).map(hop).sum()
+            })
+        });
+    }
+    group.finish();
+    drop(net); // the last sender: the receiver's mailbox disconnects
+    receiver.join().expect("receiver panicked");
+}
+
+/// The client round trip: one ordered `out` from a single client against
+/// four replica threads (f = 1), in-memory channels, no disk.
+fn bench_client_round_trip(c: &mut Criterion) {
+    let mut cluster =
+        ThreadedCluster::start(Policy::allow_all(), PolicyParams::new(), 1, &[100], &[])
+            .expect("allow-all policy has no parameters");
+    let handle = cluster.handle(0);
+    let mut group = c.benchmark_group("client_round_trip/threaded_cluster");
+    group.sample_size(SAMPLES);
+    let mut i = 0i64;
+    group.bench_function("ordered_out", |b| {
+        b.iter(|| {
+            i += 1;
+            handle.out(tuple!["B", i]).expect("healthy cluster");
+        })
+    });
+    group.finish();
+    drop(handle);
+    cluster.shutdown();
+}
+
 fn bench_tcp(c: &mut Criterion) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let peers: BTreeMap<NodeId, _> = [(1, listener.local_addr().expect("local addr"))].into();
@@ -68,5 +144,11 @@ fn bench_tcp(c: &mut Criterion) {
     receiver.shutdown();
 }
 
-criterion_group!(benches, bench_thread_net, bench_tcp);
+criterion_group!(
+    benches,
+    bench_thread_net,
+    bench_hop_to_thread,
+    bench_tcp,
+    bench_client_round_trip
+);
 criterion_main!(benches);

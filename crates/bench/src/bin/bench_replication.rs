@@ -4,7 +4,7 @@
 //! clients.
 //!
 //! Each cell starts a fresh `ThreadedCluster` (f = 1, 4 replica threads),
-//! hands every client its own slot (own pid, own reply router), and times
+//! hands every client its own slot (own pid, own mailbox), and times
 //! `clients × ops` MAC-sealed `out` operations issued concurrently. The
 //! baseline configuration assigns one PrePrepare/Prepare/Commit round per
 //! request; the batched configurations drain the request backlog into one
@@ -744,7 +744,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \"bench\": \"replication_ordering\",\n  \"unit\": \"ops_per_sec\",\n  \
-         \"workload\": \"clients concurrent client threads (one slot, pid, and reply router each) \
+         \"workload\": \"clients concurrent client threads (one slot, pid, and mailbox each) \
          issuing MAC-sealed out() ops through the f=1 (4 replica threads) BFT cluster\",\n  \
          \"engines\": {{\"one_slot_per_request\": \"baseline: batch_cap=1, unbounded in-flight window \
          (one PrePrepare/Prepare/Commit round per request)\", \

@@ -276,9 +276,10 @@ impl TcpCluster {
     }
 
     /// Takes the [`TupleSpace`](peats::TupleSpace) handle for client slot
-    /// `idx`: dials every replica over TCP and spawns the reply-router
-    /// thread. Clones of the handle share the connections and invoke
-    /// concurrently.
+    /// `idx`: dials every replica over TCP. The handle starts no thread of
+    /// its own — the connection readers fill its mailbox, and whichever
+    /// invocation is waiting receives from it. Clones of the handle share
+    /// the connections and invoke concurrently.
     ///
     /// # Panics
     ///

@@ -3,7 +3,8 @@
 //! Same addressing model as the simulator ([`NodeId`]s, opaque byte
 //! payloads) but messages move over `crossbeam` channels between real
 //! threads — this is what the replicated-PEATS performance experiments
-//! (E12) run on. Implements the [`Transport`]/[`Mailbox`] trait pair, so
+//! (E12) run on. A blocking receive gets the channel's wait strategy: a
+//! few rounds of yielding while the queue stays empty, then a park. Implements the [`Transport`]/[`Mailbox`] trait pair, so
 //! every harness written against the traits runs on it unchanged.
 
 use crate::sim::NodeId;

@@ -38,8 +38,9 @@ impl std::error::Error for Disconnected {}
 
 /// The receiving half of a node's transport endpoint.
 ///
-/// Exactly one mailbox exists per node; the thread that owns it is the
-/// node's event loop (`replica_main`, the client reply router).
+/// Exactly one mailbox exists per node, read by one thread at a time: the
+/// node's event loop (`replica_main`), or whichever invocation of a client
+/// handle is waiting for a reply.
 pub trait Mailbox: Send {
     /// This mailbox's node identity.
     fn id(&self) -> NodeId;

@@ -928,11 +928,39 @@ impl Sealed {
     /// Verifies and decodes, returning the authenticated sender and the
     /// message. `None` on any MAC/codec failure (Byzantine input).
     pub fn open(&self, keys: &KeyTable) -> Option<(u64, Message)> {
-        if !keys.verify_from(self.from, &self.body, &self.mac) {
-            return None;
-        }
-        Message::from_bytes(&self.body).ok().map(|m| (self.from, m))
+        open_parts(keys, self.from, &self.mac, &self.body)
     }
+
+    /// [`Sealed::from_bytes`] + [`open`](Sealed::open) on a received
+    /// `frame` without the owned envelope in between: the body is MAC'd
+    /// and decoded where it lies. The receive path of `replica_main` and
+    /// of the client handle.
+    pub fn open_bytes(keys: &KeyTable, frame: &[u8]) -> Option<(u64, Message)> {
+        let mut r = Reader::new(frame);
+        let (from, mac, body) = read_envelope(&mut r).ok()?;
+        if r.remaining() > 0 {
+            return None; // `from_bytes` rejects trailing bytes
+        }
+        open_parts(keys, from, &mac, body)
+    }
+}
+
+fn open_parts(keys: &KeyTable, from: u64, mac: &Digest, body: &[u8]) -> Option<(u64, Message)> {
+    if !keys.verify_from(from, body, mac) {
+        return None;
+    }
+    Message::from_bytes(body).ok().map(|m| (from, m))
+}
+
+/// The three fields of an envelope, the body still in the input buffer.
+fn read_envelope<'a>(r: &mut Reader<'a>) -> Result<(u64, Digest, &'a [u8]), DecodeError> {
+    let from = u64::decode(r)?;
+    let mac = Digest::decode(r)?;
+    let n = u32::decode(r)? as usize;
+    if n > r.remaining() {
+        return Err(DecodeError::LengthOverflow);
+    }
+    Ok((from, mac, r.bytes(n)?))
 }
 
 fn write_envelope(buf: &mut Vec<u8>, from: u64, mac: &Digest, body: &[u8]) {
@@ -950,14 +978,12 @@ impl Encode for Sealed {
 
 impl Decode for Sealed {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let from = u64::decode(r)?;
-        let mac = Digest::decode(r)?;
-        let n = u32::decode(r)? as usize;
-        if n > r.remaining() {
-            return Err(DecodeError::LengthOverflow);
-        }
-        let body = r.bytes(n)?.to_vec();
-        Ok(Sealed { from, mac, body })
+        let (from, mac, body) = read_envelope(r)?;
+        Ok(Sealed {
+            from,
+            mac,
+            body: body.to_vec(),
+        })
     }
 }
 

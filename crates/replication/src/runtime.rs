@@ -5,14 +5,21 @@
 //! ([`ThreadNet`](peats_netsim::ThreadNet), the fast verification tier) and
 //! real TCP sockets (`peats-net`, the `peatsd` deployment tier).
 //!
-//! Cloned [`ReplicatedPeats`] handles invoke **concurrently**: a dedicated
-//! router thread owns the client node's mailbox and demultiplexes each
-//! `Reply` to the in-flight invocation it answers by `req_id`, so no
-//! invocation ever holds the mailbox (or eats another invocation's
-//! replies) while it waits. Waiting is event-driven — the invocation
-//! blocks on its own reply channel until the earlier of its retry or
-//! overall deadline, so reply latency is set by the cluster, not by a poll
-//! tick.
+//! Cloned [`ReplicatedPeats`] handles invoke **concurrently**, and a handle
+//! has no thread of its own. Its node's mailbox sits behind a mutex in the
+//! state the clones share, and *whichever invocation is waiting reads it*:
+//! the first to wait becomes the reader, keeps the replies to its own
+//! `req_id` and routes every other to the channel of the in-flight
+//! invocation it answers; the rest block on those channels. A reader that
+//! leaves — decided, timed out, or unwinding — hands the role to a session
+//! that is blocked in a wait at that moment, never to one that is merely
+//! registered (a [`Subscription`] nobody is polling). So a reply to a
+//! handle with one invocation in flight goes from the transport straight
+//! to the thread that wants it, no invocation eats another's replies, and
+//! waiting is event-driven: reply latency is set by the cluster, not by a
+//! poll tick. A handle with no invocation waiting does not read at all;
+//! what arrives meanwhile — the `n − (f+1)` replies that come in after a
+//! decision — stays in the mailbox until the next wait drops it.
 
 use crate::client::{
     BlockingPoll, BlockingSession, ClientSession, ReadPoll, ReadSession, WakeStreamSession,
@@ -22,7 +29,7 @@ use crate::replica::{Dest, Replica};
 use peats::{CasOutcome, SpaceError, SpaceResult, TupleSpace};
 use peats_auth::Digest;
 use peats_auth::KeyTable;
-use peats_codec::{Decode, Encode};
+use peats_codec::Encode;
 use peats_netsim::{Mailbox, NodeId, ThreadNet, Transport};
 use peats_policy::OpCall;
 use peats_tuplespace::{Template, Tuple};
@@ -178,10 +185,7 @@ pub fn replica_main<T: Transport>(
             let mut replica = replica.lock();
             let waiting = std::iter::from_fn(|| mailbox.try_recv());
             for (_, payload) in std::iter::once(first).chain(waiting).take(MAX_PASS) {
-                let opened = Sealed::from_bytes(&payload)
-                    .ok()
-                    .and_then(|sealed| sealed.open(&keys));
-                if let Some((sender, msg)) = opened {
+                if let Some((sender, msg)) = Sealed::open_bytes(&keys, &payload) {
                     outputs.extend(replica.step(sender, msg));
                 }
             }
@@ -195,7 +199,7 @@ pub fn replica_main<T: Transport>(
     }
 }
 
-/// A reply routed to an in-flight invocation by `req_id`.
+/// A reply addressed to an in-flight invocation by `req_id`.
 enum ReplyEnvelope {
     /// An ordered-path `Reply`: the `(seq, result)` pair the replica
     /// recorded at execution.
@@ -217,80 +221,8 @@ enum ReplyEnvelope {
 }
 
 impl ReplyEnvelope {
-    fn req_id(&self) -> u64 {
-        match self {
-            ReplyEnvelope::Ordered { req_id, .. } | ReplyEnvelope::Fast { req_id, .. } => *req_id,
-        }
-    }
-}
-
-/// Routes each incoming `Reply` to the in-flight invocation (by `req_id`)
-/// it answers. Shared by all clones of one client handle; the router
-/// thread owns the node's mailbox, so an invocation never holds it — and
-/// never discards replies addressed to other in-flight requests.
-#[derive(Default)]
-struct ReplyDemux {
-    sessions: parking_lot::Mutex<BTreeMap<u64, mpsc::Sender<ReplyEnvelope>>>,
-    closed: AtomicBool,
-}
-
-impl ReplyDemux {
-    fn register(&self, req_id: u64) -> mpsc::Receiver<ReplyEnvelope> {
-        let (tx, rx) = mpsc::channel();
-        // The closed check must happen under the sessions lock: checked
-        // outside, a concurrent `close` could clear the map between the
-        // check and the insert, leaving a sender that never disconnects
-        // (the invocation would burn its whole timeout instead of failing
-        // fast).
-        let mut sessions = self.sessions.lock();
-        if !self.closed.load(Ordering::Acquire) {
-            sessions.insert(req_id, tx);
-        }
-        // When closed, the sender is dropped here and the receiver reports
-        // Disconnected immediately.
-        rx
-    }
-
-    fn deregister(&self, req_id: u64) {
-        self.sessions.lock().remove(&req_id);
-    }
-
-    fn route(&self, env: ReplyEnvelope) {
-        if let Some(tx) = self.sessions.lock().get(&env.req_id()) {
-            let _ = tx.send(env);
-        }
-        // No session with that req_id: a late reply for a completed (or
-        // abandoned) invocation — drop it.
-    }
-
-    fn close(&self) {
-        let mut sessions = self.sessions.lock();
-        self.closed.store(true, Ordering::Release);
-        // Dropping the senders disconnects every waiting invocation.
-        sessions.clear();
-    }
-}
-
-/// Deregisters an invocation's demux session on every exit path.
-struct SessionGuard<'a> {
-    demux: &'a ReplyDemux,
-    req_id: u64,
-}
-
-impl Drop for SessionGuard<'_> {
-    fn drop(&mut self) {
-        self.demux.deregister(self.req_id);
-    }
-}
-
-fn client_router<M: Mailbox>(mailbox: M, keys: KeyTable, demux: Arc<ReplyDemux>) {
-    while let Some((_, payload)) = mailbox.recv() {
-        let Ok(sealed) = Sealed::from_bytes(&payload) else {
-            continue;
-        };
-        let Some((_, msg)) = sealed.open(&keys) else {
-            continue;
-        };
+    /// The reply an opened message carries, if it is one.
+    fn of(msg: Message) -> Option<ReplyEnvelope> {
         match msg {
             // A replica-pushed wake carries the same fields as an ordered
             // reply and answers the same blocked registration, so both
@@ -308,34 +240,321 @@ fn client_router<M: Mailbox>(mailbox: M, keys: KeyTable, demux: Arc<ReplyDemux>)
                 seq,
                 result,
                 replica,
-            } => {
-                demux.route(ReplyEnvelope::Ordered {
-                    replica,
-                    req_id,
-                    seq,
-                    result,
-                });
-            }
+            } => Some(ReplyEnvelope::Ordered {
+                replica,
+                req_id,
+                seq,
+                result,
+            }),
             Message::ReadReply {
                 req_id,
                 seq,
                 digest,
                 result,
                 replica,
-            } => {
-                demux.route(ReplyEnvelope::Fast {
-                    replica,
-                    req_id,
-                    seq,
-                    digest,
-                    result,
-                });
-            }
-            _ => {}
+            } => Some(ReplyEnvelope::Fast {
+                replica,
+                req_id,
+                seq,
+                digest,
+                result,
+            }),
+            _ => None,
         }
     }
-    // Mailbox disconnected: the transport is gone. Wake every waiter.
-    demux.close();
+
+    fn req_id(&self) -> u64 {
+        match self {
+            ReplyEnvelope::Ordered { req_id, .. } | ReplyEnvelope::Fast { req_id, .. } => *req_id,
+        }
+    }
+
+    /// The arguments of the ordered sessions' `on_reply`/`on_wake`; `None`
+    /// for a fast reply (fast reads never share a `req_id` with an ordered
+    /// request).
+    fn ordered(self) -> Option<(ReplicaId, u64, Seq, OpResult)> {
+        match self {
+            ReplyEnvelope::Ordered {
+                replica,
+                req_id,
+                seq,
+                result,
+            } => Some((replica, req_id, seq, result)),
+            ReplyEnvelope::Fast { .. } => None,
+        }
+    }
+}
+
+/// What a session's channel carries.
+enum Routed {
+    /// A reply the reader received on this session's behalf.
+    Reply(ReplyEnvelope),
+    /// The reader left and offers this session the role.
+    TakeOver,
+}
+
+/// One registered `req_id`.
+struct Session {
+    tx: mpsc::Sender<Routed>,
+    /// Its owner is blocked on the channel inside [`ReplyDemux::wait`]. A
+    /// registered session need not be: a [`Subscription`] between two
+    /// `next_timeout` calls, or a blocked `take` while its `Cancel` runs
+    /// on the same thread.
+    waiting: bool,
+}
+
+/// The reader role: who receives from the mailbox.
+enum Role {
+    /// Nobody: no invocation is waiting.
+    Free,
+    /// The reader left and woke this waiting session to take over; until
+    /// it does, any session entering a wait may take the role instead.
+    Offered(u64),
+    /// This session is inside [`ReplyDemux::wait`], receiving.
+    Held(u64),
+}
+
+struct Sessions {
+    by_req: BTreeMap<u64, Session>,
+    reader: Role,
+    /// The mailbox disconnected: nothing registers any more.
+    closed: bool,
+}
+
+/// Result of one [`ReplyDemux::wait`].
+enum Waited<R> {
+    /// The caller's closure returned `Some`.
+    Decided(R),
+    /// `until` passed first.
+    TimedOut,
+    /// The transport is gone.
+    Closed,
+}
+
+/// The client node's mailbox and the in-flight invocations it answers,
+/// shared by all clones of one handle. No thread of its own: *whichever
+/// invocation is waiting reads the mailbox*, keeps the replies to its own
+/// `req_id` and routes the others to the channel of the session they
+/// answer, so a reply to a handle with one invocation in flight wakes
+/// nobody but the transport's receiver. See [`ReplyDemux::wait`].
+struct ReplyDemux {
+    /// Locked by the reader for as long as it reads. Who that is, is
+    /// decided under `sessions` (see [`Role`]), so nobody ever queues on
+    /// this lock behind a blocked receive.
+    mailbox: parking_lot::Mutex<Box<dyn Mailbox>>,
+    keys: KeyTable,
+    /// Never held across a receive.
+    sessions: parking_lot::Mutex<Sessions>,
+}
+
+impl ReplyDemux {
+    fn new(mailbox: Box<dyn Mailbox>, keys: KeyTable) -> Self {
+        ReplyDemux {
+            mailbox: parking_lot::Mutex::new(mailbox),
+            keys,
+            sessions: parking_lot::Mutex::new(Sessions {
+                by_req: BTreeMap::new(),
+                reader: Role::Free,
+                closed: false,
+            }),
+        }
+    }
+
+    fn register(&self, req_id: u64) -> mpsc::Receiver<Routed> {
+        let (tx, rx) = mpsc::channel();
+        // The closed check must happen under the sessions lock: checked
+        // outside, a concurrent `close` could clear the map between the
+        // check and the insert, leaving a sender that never disconnects
+        // (the invocation would burn its whole timeout instead of failing
+        // fast).
+        let mut sessions = self.sessions.lock();
+        if !sessions.closed {
+            let waiting = false;
+            sessions.by_req.insert(req_id, Session { tx, waiting });
+        }
+        // When closed, the sender is dropped here and the receiver reports
+        // Disconnected immediately.
+        rx
+    }
+
+    fn deregister(&self, req_id: u64) {
+        self.sessions.lock().by_req.remove(&req_id);
+    }
+
+    fn route(&self, env: ReplyEnvelope) {
+        if let Some(session) = self.sessions.lock().by_req.get(&env.req_id()) {
+            let _ = session.tx.send(Routed::Reply(env));
+        }
+        // No session with that req_id: a late reply for a completed (or
+        // abandoned) invocation — drop it.
+    }
+
+    fn close(&self) {
+        let mut sessions = self.sessions.lock();
+        sessions.closed = true;
+        // Dropping the senders disconnects every waiting invocation.
+        sessions.by_req.clear();
+    }
+
+    /// Waits until `until` for replies to `req_id`, handing each to
+    /// `on_reply` until it returns `Some` — the one place a client
+    /// invocation blocks.
+    ///
+    /// First comes what a sibling already routed to `rx`. Then, if no other
+    /// session is reading, this one becomes the reader: it receives from
+    /// the mailbox, opens each frame, keeps the replies to `req_id` and
+    /// routes the rest. Otherwise it blocks on `rx`, where the reader
+    /// delivers its replies and, when the reader leaves, possibly the role.
+    ///
+    /// The reader checks `until` before every receive, so a peer flooding
+    /// the mailbox cannot keep it past its deadline, and drops what answers
+    /// no registered session — including the `n − (f+1)` replies that
+    /// arrived after the previous invocation decided: a handle with no
+    /// invocation waiting does not read, and its mailbox keeps them until
+    /// the next wait.
+    fn wait<R>(
+        &self,
+        req_id: u64,
+        rx: &mpsc::Receiver<Routed>,
+        until: Instant,
+        mut on_reply: impl FnMut(ReplyEnvelope) -> Option<R>,
+    ) -> Waited<R> {
+        let mut turn = Turn {
+            demux: self,
+            req_id,
+            mailbox: None,
+        };
+        loop {
+            if !turn.claim() {
+                return Waited::Closed;
+            }
+            // As the reader, nobody routes to `rx` any more; as a waiting
+            // session, the reader's sends from here on wake the receive
+            // below. Either way this drains what came before.
+            loop {
+                match rx.try_recv() {
+                    Ok(Routed::Reply(env)) => {
+                        if let Some(decided) = on_reply(env) {
+                            return Waited::Decided(decided);
+                        }
+                    }
+                    Ok(Routed::TakeOver) => {} // an offer already passed on
+                    Err(mpsc::TryRecvError::Empty) => break,
+                    Err(mpsc::TryRecvError::Disconnected) => return Waited::Closed,
+                }
+            }
+            if let Some(mailbox) = &turn.mailbox {
+                loop {
+                    let left = until.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Waited::TimedOut;
+                    }
+                    let payload = match mailbox.recv_timeout(left) {
+                        Ok(Some((_, payload))) => payload,
+                        Ok(None) => return Waited::TimedOut,
+                        Err(_) => {
+                            // The transport is gone: fail every waiter fast.
+                            self.close();
+                            return Waited::Closed;
+                        }
+                    };
+                    let Some(env) = Sealed::open_bytes(&self.keys, &payload)
+                        .and_then(|(_, msg)| ReplyEnvelope::of(msg))
+                    else {
+                        continue;
+                    };
+                    if env.req_id() != req_id {
+                        self.route(env);
+                    } else if let Some(decided) = on_reply(env) {
+                        return Waited::Decided(decided);
+                    }
+                }
+            }
+            loop {
+                let left = until.saturating_duration_since(Instant::now());
+                match rx.recv_timeout(left) {
+                    Ok(Routed::Reply(env)) => {
+                        if let Some(decided) = on_reply(env) {
+                            return Waited::Decided(decided);
+                        }
+                    }
+                    Ok(Routed::TakeOver) => break, // claim it
+                    Err(mpsc::RecvTimeoutError::Timeout) => return Waited::TimedOut,
+                    Err(mpsc::RecvTimeoutError::Disconnected) => return Waited::Closed,
+                }
+            }
+        }
+    }
+}
+
+/// One session's stay inside [`ReplyDemux::wait`]: the reader while
+/// `mailbox` is held, blocked on its own channel otherwise. Dropping it —
+/// decided, timed out, or unwinding from a panic — releases the mailbox
+/// and passes the reader role on.
+struct Turn<'a> {
+    demux: &'a ReplyDemux,
+    req_id: u64,
+    mailbox: Option<parking_lot::MutexGuard<'a, Box<dyn Mailbox>>>,
+}
+
+impl Turn<'_> {
+    /// Takes the reader role unless another session holds it, in which
+    /// case this one counts as waiting. `false` when the demux is closed.
+    fn claim(&mut self) -> bool {
+        let reads = {
+            let mut sessions = self.demux.sessions.lock();
+            let reads = !matches!(sessions.reader, Role::Held(_));
+            let Some(session) = sessions.by_req.get_mut(&self.req_id) else {
+                return false;
+            };
+            session.waiting = !reads;
+            if reads {
+                sessions.reader = Role::Held(self.req_id);
+            }
+            reads
+        };
+        if reads {
+            // Free: a reader releases it before it gives up the role.
+            self.mailbox = Some(self.demux.mailbox.lock());
+        }
+        true
+    }
+}
+
+impl Drop for Turn<'_> {
+    fn drop(&mut self) {
+        self.mailbox = None;
+        let sessions = &mut *self.demux.sessions.lock();
+        if let Some(session) = sessions.by_req.get_mut(&self.req_id) {
+            session.waiting = false;
+        }
+        // Holding the role, or an offer of it this session did not take up
+        // (its reply came first): hand it to a session that is blocked in
+        // `wait` right now — a registered session whose owner is elsewhere
+        // would sit on the role while every waiter starved.
+        if matches!(sessions.reader, Role::Held(id) | Role::Offered(id) if id == self.req_id) {
+            let next = sessions.by_req.iter().find(|(_, session)| session.waiting);
+            sessions.reader = match next {
+                Some((&req_id, session)) => {
+                    let _ = session.tx.send(Routed::TakeOver);
+                    Role::Offered(req_id)
+                }
+                None => Role::Free,
+            };
+        }
+    }
+}
+
+/// Deregisters an invocation's demux session on every exit path.
+struct SessionGuard<'a> {
+    demux: &'a ReplyDemux,
+    req_id: u64,
+}
+
+impl Drop for SessionGuard<'_> {
+    fn drop(&mut self) {
+        self.demux.deregister(self.req_id);
+    }
 }
 
 /// Observability counters shared by all clones of one handle.
@@ -351,7 +570,7 @@ struct ClientStats {
 /// Client handle onto a replicated PEATS cluster reached over any
 /// [`Transport`]; implements [`peats::TupleSpace`], so all algorithms run
 /// on it unchanged. Clones share the node's identity, request counter, and
-/// reply router — and invoke **concurrently**.
+/// mailbox — and invoke **concurrently**.
 ///
 /// The default transport parameter keeps the thread-backed tier's spelling:
 /// `ReplicatedPeats` is the in-memory handle handed out by
@@ -385,8 +604,10 @@ pub struct ReplicatedPeats<T: Transport = ThreadNet> {
 
 impl<T: Transport> ReplicatedPeats<T> {
     /// Builds a client handle for logical process `pid` at transport node
-    /// `mailbox.id()`, spawning the reply-router thread that owns
-    /// `mailbox`. The cluster has `n_replicas = 3f+1` replicas at node ids
+    /// `mailbox.id()`. The handle keeps `mailbox` (until its last clone
+    /// and last [`Subscription`] are dropped) and starts no thread: replies
+    /// are received by whichever invocation is waiting for one. The
+    /// cluster has `n_replicas = 3f+1` replicas at node ids
     /// `0..n_replicas`; `keys` must hold this node's pairwise MACs.
     pub fn connect(
         net: T,
@@ -398,17 +619,9 @@ impl<T: Transport> ReplicatedPeats<T> {
         cfg: ClientConfig,
     ) -> Self {
         let node = mailbox.id();
-        let demux = Arc::new(ReplyDemux::default());
-        {
-            let keys = keys.clone();
-            let demux = Arc::clone(&demux);
-            // The router exits (and closes the demux) when the mailbox
-            // disconnects — i.e. when the transport shuts down.
-            std::thread::spawn(move || client_router(mailbox, keys, demux));
-        }
         ReplicatedPeats {
             net,
-            demux,
+            demux: Arc::new(ReplyDemux::new(Box::new(mailbox), keys.clone())),
             keys,
             node,
             pid,
@@ -465,32 +678,22 @@ impl<T: Transport> ReplicatedPeats<T> {
                     // banked tick would fire a rebroadcast back-to-back.
                     next_retry = Instant::now() + self.cfg.retry_interval;
                 }
-                // Event-driven wait: block on the reply channel until the
-                // earlier of the retry and overall deadlines. A reply wakes
-                // the invocation immediately — latency is the cluster's
-                // decision time, not a poll-tick quantum.
-                let wait = next_retry
-                    .min(deadline)
-                    .saturating_duration_since(Instant::now());
-                match rx.recv_timeout(wait) {
-                    Ok(ReplyEnvelope::Ordered {
-                        replica,
-                        req_id: rid,
-                        seq,
-                        result,
-                    }) => {
-                        if let Some((seq, result)) = session.on_reply(replica, rid, seq, result) {
-                            // Read-your-writes: every future fast read must
-                            // come from a quorum that has executed this slot.
-                            self.watermark.fetch_max(seq, Ordering::Relaxed);
-                            return Ok(result);
-                        }
+                // Event-driven wait, until the earlier of the retry and
+                // overall deadlines: latency is the cluster's decision
+                // time, not a poll-tick quantum.
+                let until = next_retry.min(deadline);
+                match self.demux.wait(req_id, &rx, until, |env| {
+                    let (replica, rid, seq, result) = env.ordered()?;
+                    session.on_reply(replica, rid, seq, result)
+                }) {
+                    Waited::Decided((seq, result)) => {
+                        // Read-your-writes: every future fast read must
+                        // come from a quorum that has executed this slot.
+                        self.watermark.fetch_max(seq, Ordering::Relaxed);
+                        return Ok(result);
                     }
-                    Ok(ReplyEnvelope::Fast { .. }) => {} // fast replies never share a req_id with an ordered request
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        return Err(SpaceError::Unavailable("cluster shut down".into()));
-                    }
+                    Waited::TimedOut => {}
+                    Waited::Closed => return Err(shut_down()),
                 }
             }
         })();
@@ -580,29 +783,37 @@ impl<T: Transport> ReplicatedPeats<T> {
             } else {
                 probe_deadline.min(deadline)
             };
-            let wait = until.saturating_duration_since(Instant::now());
-            match rx.recv_timeout(wait) {
-                Ok(ReplyEnvelope::Fast {
+            let poll = self.demux.wait(req_id, &rx, until, |env| {
+                let ReplyEnvelope::Fast {
                     replica,
                     req_id: rid,
                     seq,
                     digest,
                     result,
-                }) => match session.on_read_reply(replica, rid, seq, digest, result) {
-                    ReadPoll::Accepted { seq, result } => {
-                        // An accepted fast read is quorum-backed: it, too,
-                        // advances the watermark (monotonic reads).
-                        self.watermark.fetch_max(seq, Ordering::Relaxed);
-                        return Some(result);
-                    }
-                    ReadPoll::NoQuorum => return None,
-                    ReadPoll::Pending => {}
-                },
-                Ok(ReplyEnvelope::Ordered { .. }) => {}
-                // A probe-phase timeout loops back to widen; the overall
-                // deadline check at the top of the loop ends the round.
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => return None,
+                } = env
+                else {
+                    return None;
+                };
+                match session.on_read_reply(replica, rid, seq, digest, result) {
+                    // Undecided, and nothing at the top of the loop to do
+                    // about it (the probe window has not all answered, or
+                    // the read is as wide as it gets): keep waiting.
+                    ReadPoll::Pending if widened || session.responders() < quorum => None,
+                    poll => Some(poll),
+                }
+            });
+            match poll {
+                Waited::Decided(ReadPoll::Accepted { seq, result }) => {
+                    // An accepted fast read is quorum-backed: it, too,
+                    // advances the watermark (monotonic reads).
+                    self.watermark.fetch_max(seq, Ordering::Relaxed);
+                    return Some(result);
+                }
+                Waited::Decided(ReadPoll::NoQuorum) | Waited::Closed => return None,
+                // The probe window answered without deciding, or ran out
+                // of time: loop back to widen. The overall deadline check
+                // at the top of the loop ends the round.
+                Waited::Decided(ReadPoll::Pending) | Waited::TimedOut => {}
             }
         }
     }
@@ -647,71 +858,62 @@ impl<T: Transport> ReplicatedPeats<T> {
                     self.stats.rebroadcasts.fetch_add(1, Ordering::Relaxed);
                     next_retry = Instant::now() + self.cfg.retry_interval;
                 }
-                let wait = next_retry
-                    .min(deadline)
-                    .saturating_duration_since(Instant::now());
-                match rx.recv_timeout(wait) {
-                    Ok(ReplyEnvelope::Ordered {
-                        replica,
-                        req_id: rid,
-                        seq,
-                        result,
-                    }) => match session.on_reply(replica, rid, seq, result) {
-                        BlockingPoll::Decided(seq, result) => {
-                            self.watermark.fetch_max(seq, Ordering::Relaxed);
-                            return self.finish_blocking(result);
-                        }
+                // Parked, there is no retry to wake up for: a retry tick
+                // already in the past would turn this wait into a spin.
+                let until = match session.parked_at() {
+                    Some(_) => deadline,
+                    None => next_retry.min(deadline),
+                };
+                match self.demux.wait(req_id, &rx, until, |env| {
+                    let (replica, rid, seq, result) = env.ordered()?;
+                    match session.on_reply(replica, rid, seq, result) {
+                        BlockingPoll::Decided(seq, result) => Some((seq, result)),
                         BlockingPoll::Parked(seq) => {
                             // The registration itself committed at `seq`;
                             // read-your-writes covers it like any write.
                             self.watermark.fetch_max(seq, Ordering::Relaxed);
+                            None
                         }
-                        BlockingPoll::Pending => {}
-                    },
-                    Ok(ReplyEnvelope::Fast { .. }) => {}
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        return Err(SpaceError::Unavailable("cluster shut down".into()));
+                        BlockingPoll::Pending => None,
                     }
+                }) {
+                    Waited::Decided((seq, result)) => {
+                        self.watermark.fetch_max(seq, Ordering::Relaxed);
+                        return self.finish_blocking(result);
+                    }
+                    Waited::TimedOut => {}
+                    Waited::Closed => return Err(shut_down()),
                 }
             }
             // Deadline passed while parked (or never acknowledged). Detach
             // the registration in the total order, then settle the race.
+            // This thread is outside `wait` here, so the cancel's own wait
+            // can read the mailbox although `req_id` is still registered.
             self.invoke_op(RequestOp::Cancel { target: req_id })?;
+            // A new vote: the acks that parked the old one would outvote
+            // the first cached tuple to come back and call the race for
+            // the cancel.
+            let mut session =
+                BlockingSession::new(self.pid, req_id, template.clone(), kind, false, self.f);
             self.broadcast(&session.request_message());
             let settle = Instant::now() + self.cfg.retry_interval;
-            loop {
-                let wait = settle.saturating_duration_since(Instant::now());
-                if wait.is_zero() {
-                    return Err(SpaceError::Unavailable(
-                        "blocked operation timed out and was cancelled".into(),
-                    ));
+            match self.demux.wait(req_id, &rx, settle, |env| {
+                let (replica, rid, seq, result) = env.ordered()?;
+                match session.on_reply(replica, rid, seq, result) {
+                    BlockingPoll::Decided(seq, result) => Some(Some((seq, result))),
+                    // Still `Registered` in the caches: the cancel won.
+                    BlockingPoll::Parked(_) => Some(None),
+                    BlockingPoll::Pending => None,
                 }
-                match rx.recv_timeout(wait) {
-                    Ok(ReplyEnvelope::Ordered {
-                        replica,
-                        req_id: rid,
-                        seq,
-                        result,
-                    }) => match session.on_reply(replica, rid, seq, result) {
-                        BlockingPoll::Decided(seq, result) => {
-                            self.watermark.fetch_max(seq, Ordering::Relaxed);
-                            return self.finish_blocking(result);
-                        }
-                        // Still `Registered` in the caches: the cancel won.
-                        BlockingPoll::Parked(_) => {
-                            return Err(SpaceError::Unavailable(
-                                "blocked operation timed out and was cancelled".into(),
-                            ));
-                        }
-                        BlockingPoll::Pending => {}
-                    },
-                    Ok(ReplyEnvelope::Fast { .. }) => {}
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        return Err(SpaceError::Unavailable("cluster shut down".into()));
-                    }
+            }) {
+                Waited::Decided(Some((seq, result))) => {
+                    self.watermark.fetch_max(seq, Ordering::Relaxed);
+                    self.finish_blocking(result)
                 }
+                Waited::Decided(None) | Waited::TimedOut => Err(SpaceError::Unavailable(
+                    "blocked operation timed out and was cancelled".into(),
+                )),
+                Waited::Closed => Err(shut_down()),
             }
         })();
         self.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
@@ -750,11 +952,10 @@ impl<T: Transport> ReplicatedPeats<T> {
         self.broadcast(&park.request_message());
         let deadline = Instant::now() + self.cfg.invoke_timeout;
         let mut next_retry = Instant::now() + self.cfg.retry_interval;
-        loop {
+        let registered = loop {
             let now = Instant::now();
             if now >= deadline {
-                self.demux.deregister(req_id);
-                return Err(SpaceError::Unavailable(
+                break Err(SpaceError::Unavailable(
                     "no f+1 registration acks before timeout".into(),
                 ));
             }
@@ -763,61 +964,53 @@ impl<T: Transport> ReplicatedPeats<T> {
                 self.stats.rebroadcasts.fetch_add(1, Ordering::Relaxed);
                 next_retry = Instant::now() + self.cfg.retry_interval;
             }
-            let wait = next_retry
-                .min(deadline)
-                .saturating_duration_since(Instant::now());
-            match rx.recv_timeout(wait) {
-                Ok(ReplyEnvelope::Ordered {
-                    replica,
-                    req_id: rid,
-                    seq,
-                    result,
-                }) => {
-                    // Wakes racing the park acknowledgement are certified
-                    // through the stream session and queued so the
-                    // subscriber sees them; `Registered` acks feed the park
-                    // vote. Both sessions are fed — each ignores what the
-                    // other consumes.
-                    if let Some((seq, result)) = stream.on_wake(replica, rid, seq, result.clone()) {
+            let until = next_retry.min(deadline);
+            match self.demux.wait(req_id, &rx, until, |env| {
+                let (replica, rid, seq, result) = env.ordered()?;
+                // Wakes racing the park acknowledgement are certified
+                // through the stream session and queued so the subscriber
+                // sees them; `Registered` acks feed the park vote. Both
+                // sessions are fed — each ignores what the other consumes.
+                if let Some((seq, result)) = stream.on_wake(replica, rid, seq, result.clone()) {
+                    self.watermark.fetch_max(seq, Ordering::Relaxed);
+                    match result {
+                        OpResult::Tuple(Some(t)) => pending.push_back(t),
+                        OpResult::Denied(d) => return Some(Err(denied(d))),
+                        _ => {}
+                    }
+                }
+                match park.on_reply(replica, rid, seq, result) {
+                    BlockingPoll::Decided(seq, OpResult::Denied(d)) => {
                         self.watermark.fetch_max(seq, Ordering::Relaxed);
-                        match result {
-                            OpResult::Tuple(Some(t)) => pending.push_back(t),
-                            OpResult::Denied(d) => {
-                                self.demux.deregister(req_id);
-                                return Err(denied(d));
-                            }
-                            _ => {}
-                        }
+                        Some(Err(denied(d)))
                     }
-                    match park.on_reply(replica, rid, seq, result) {
-                        BlockingPoll::Decided(seq, OpResult::Denied(d)) => {
-                            self.watermark.fetch_max(seq, Ordering::Relaxed);
-                            self.demux.deregister(req_id);
-                            return Err(denied(d));
-                        }
-                        // Parked is the normal ack; a decided (non-denied)
-                        // quorum means wakes outran the `Registered` acks —
-                        // the registration is committed and live either way.
-                        BlockingPoll::Parked(seq) | BlockingPoll::Decided(seq, _) => {
-                            self.watermark.fetch_max(seq, Ordering::Relaxed);
-                            return Ok(Subscription {
-                                handle: self.clone(),
-                                req_id,
-                                rx,
-                                stream,
-                                pending,
-                                cancelled: false,
-                            });
-                        }
-                        BlockingPoll::Pending => {}
+                    // Parked is the normal ack; a decided (non-denied)
+                    // quorum means wakes outran the `Registered` acks —
+                    // the registration is committed and live either way.
+                    BlockingPoll::Parked(seq) | BlockingPoll::Decided(seq, _) => {
+                        self.watermark.fetch_max(seq, Ordering::Relaxed);
+                        Some(Ok(()))
                     }
+                    BlockingPoll::Pending => None,
                 }
-                Ok(ReplyEnvelope::Fast { .. }) => {}
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    self.demux.deregister(req_id);
-                    return Err(SpaceError::Unavailable("cluster shut down".into()));
-                }
+            }) {
+                Waited::Decided(registered) => break registered,
+                Waited::TimedOut => {}
+                Waited::Closed => break Err(shut_down()),
+            }
+        };
+        match registered {
+            Ok(()) => Ok(Subscription {
+                handle: self.clone(),
+                req_id,
+                rx,
+                stream,
+                pending,
+                cancelled: false,
+            }),
+            Err(e) => {
+                self.demux.deregister(req_id);
+                Err(e)
             }
         }
     }
@@ -883,7 +1076,7 @@ impl<T: Transport> ReplicatedPeats<T> {
 pub struct Subscription<T: Transport = ThreadNet> {
     handle: ReplicatedPeats<T>,
     req_id: u64,
-    rx: mpsc::Receiver<ReplyEnvelope>,
+    rx: mpsc::Receiver<Routed>,
     stream: WakeStreamSession,
     /// Events certified while the subscribe handshake was still in flight.
     pending: VecDeque<Tuple>,
@@ -897,34 +1090,24 @@ impl<T: Transport> Subscription<T> {
         if let Some(t) = self.pending.pop_front() {
             return Ok(Some(t));
         }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let wait = deadline.saturating_duration_since(Instant::now());
-            if wait.is_zero() {
-                return Ok(None);
+        // Inside this call the subscription is a waiting session like any
+        // invocation (it may read the mailbox for its siblings); between
+        // calls it is only registered, and siblings queue its events.
+        let until = Instant::now() + timeout;
+        let event = self.handle.demux.wait(self.req_id, &self.rx, until, |env| {
+            let (replica, rid, seq, result) = env.ordered()?;
+            let (seq, result) = self.stream.on_wake(replica, rid, seq, result)?;
+            self.handle.watermark.fetch_max(seq, Ordering::Relaxed);
+            match result {
+                OpResult::Tuple(Some(t)) => Some(Ok(t)),
+                OpResult::Denied(d) => Some(Err(denied(d))),
+                _ => None,
             }
-            match self.rx.recv_timeout(wait) {
-                Ok(ReplyEnvelope::Ordered {
-                    replica,
-                    req_id,
-                    seq,
-                    result,
-                }) => {
-                    if let Some((seq, result)) = self.stream.on_wake(replica, req_id, seq, result) {
-                        self.handle.watermark.fetch_max(seq, Ordering::Relaxed);
-                        match result {
-                            OpResult::Tuple(Some(t)) => return Ok(Some(t)),
-                            OpResult::Denied(d) => return Err(denied(d)),
-                            _ => {}
-                        }
-                    }
-                }
-                Ok(ReplyEnvelope::Fast { .. }) => {}
-                Err(mpsc::RecvTimeoutError::Timeout) => return Ok(None),
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(SpaceError::Unavailable("cluster shut down".into()));
-                }
-            }
+        });
+        match event {
+            Waited::Decided(event) => event.map(Some),
+            Waited::TimedOut => Ok(None),
+            Waited::Closed => Err(shut_down()),
         }
     }
 
@@ -964,6 +1147,11 @@ impl<T: Transport> Drop for Subscription<T> {
         };
         self.handle.broadcast(&Message::Request(cancel));
     }
+}
+
+/// What a waiter reports once the transport is gone.
+fn shut_down() -> SpaceError {
+    SpaceError::Unavailable("cluster shut down".into())
 }
 
 fn denied(detail: String) -> SpaceError {
@@ -1051,7 +1239,7 @@ mod tests {
     use crate::wal::DurableStore;
     use peats_netsim::{Disconnected, Envelope};
     use peats_policy::{Policy, PolicyParams};
-    use peats_tuplespace::tuple;
+    use peats_tuplespace::{template, tuple};
 
     const MASTER: &[u8] = b"runtime-test-master";
     const CLIENT_NODE: NodeId = 4;
@@ -1077,14 +1265,9 @@ mod tests {
 
         fn send(&self, _from: NodeId, to: NodeId, payload: Vec<u8>) {
             let syncs_before = self.replica.lock().footprint().wal_syncs;
-            let keys = KeyTable::new(u64::from(to), MASTER.to_vec());
-            let (_, msg) = Sealed::from_bytes(&payload)
-                .ok()
-                .and_then(|sealed| sealed.open(&keys))
-                .expect("replica_main seals for the frame's recipient");
             self.sent.lock().push(Sent {
                 to,
-                msg,
+                msg: opened_by(to, &payload),
                 syncs_before,
             });
         }
@@ -1094,12 +1277,43 @@ mod tests {
         }
     }
 
+    /// What a test can see of a [`ScriptedMailbox`] it gave away.
+    #[derive(Default)]
+    struct Seen {
+        /// Envelopes taken out of it (the flood's not counted).
+        received: AtomicU64,
+        dropped: AtomicBool,
+    }
+
     /// A mailbox fed by the test; with `flood` set it is never empty — a
     /// peer refilling it faster than the loop drains it, with no memory.
     struct ScriptedMailbox {
         id: NodeId,
         rx: mpsc::Receiver<Envelope>,
         flood: Option<Envelope>,
+        seen: Arc<Seen>,
+    }
+
+    impl ScriptedMailbox {
+        fn new(id: NodeId, rx: mpsc::Receiver<Envelope>) -> Self {
+            ScriptedMailbox {
+                id,
+                rx,
+                flood: None,
+                seen: Arc::default(),
+            }
+        }
+
+        fn took(&self, envelope: Envelope) -> Envelope {
+            self.seen.received.fetch_add(1, Ordering::Relaxed);
+            envelope
+        }
+    }
+
+    impl Drop for ScriptedMailbox {
+        fn drop(&mut self) {
+            self.seen.dropped.store(true, Ordering::SeqCst);
+        }
     }
 
     impl Mailbox for ScriptedMailbox {
@@ -1108,7 +1322,7 @@ mod tests {
         }
 
         fn recv(&self) -> Option<Envelope> {
-            self.rx.recv().ok()
+            self.rx.recv().ok().map(|e| self.took(e))
         }
 
         fn recv_timeout(&self, timeout: Duration) -> Result<Option<Envelope>, Disconnected> {
@@ -1116,14 +1330,15 @@ mod tests {
                 return Ok(Some(envelope));
             }
             match self.rx.recv_timeout(timeout) {
-                Ok(envelope) => Ok(Some(envelope)),
+                Ok(envelope) => Ok(Some(self.took(envelope))),
                 Err(mpsc::RecvTimeoutError::Timeout) => Ok(None),
                 Err(mpsc::RecvTimeoutError::Disconnected) => Err(Disconnected),
             }
         }
 
         fn try_recv(&self) -> Option<Envelope> {
-            self.rx.try_recv().ok().or_else(|| self.flood.clone())
+            let queued = self.rx.try_recv().ok().map(|e| self.took(e));
+            queued.or_else(|| self.flood.clone())
         }
     }
 
@@ -1141,6 +1356,14 @@ mod tests {
 
     fn request(i: u64) -> Request {
         Request::call(CLIENT_PID, i, OpCall::out(tuple!["T", i as i64]))
+    }
+
+    /// The message in `frame`, which must open with node `to`'s keys: the
+    /// code under test seals every frame for the node it sends it to.
+    fn opened_by(to: NodeId, frame: &[u8]) -> Message {
+        let keys = KeyTable::new(u64::from(to), MASTER.to_vec());
+        let (_, msg) = Sealed::open_bytes(&keys, frame).expect("sealed for its recipient");
+        msg
     }
 
     /// `msg` as node `from` would put it on the wire for replica `to`.
@@ -1166,7 +1389,8 @@ mod tests {
         };
         let (tx, rx) = mpsc::channel();
         script.into_iter().for_each(|e| tx.send(e).unwrap());
-        let mailbox = ScriptedMailbox { id, rx, flood };
+        let mut mailbox = ScriptedMailbox::new(id, rx);
+        mailbox.flood = flood;
         let stop = Arc::new(AtomicBool::new(false));
         let main = {
             let (replica, net, stop) = (Arc::clone(&replica), net.clone(), Arc::clone(&stop));
@@ -1276,5 +1500,396 @@ mod tests {
                     .any(|s| matches!(s.msg, Message::ViewChange { .. }))
             },
         );
+    }
+
+    // ---- The client handle over scripted replicas ----
+
+    /// What each scripted replica answers to each message it is sent.
+    type Answer = dyn Fn(ReplicaId, &Message) -> Vec<Message> + Send + Sync;
+
+    /// The cluster as a client handle sees it: every frame the handle sends
+    /// is opened as the replica it addresses and answered, into the
+    /// client's mailbox, with whatever `answer` has that replica say.
+    #[derive(Clone)]
+    struct ScriptedReplicas {
+        /// `None` once the test shut the transport down.
+        inbox: Arc<parking_lot::Mutex<Option<mpsc::Sender<Envelope>>>>,
+        answer: Arc<Answer>,
+    }
+
+    impl ScriptedReplicas {
+        fn push(&self, envelope: Envelope) {
+            if let Some(inbox) = &*self.inbox.lock() {
+                let _ = inbox.send(envelope);
+            }
+        }
+
+        /// Delivers `msg` from `replica` to the client.
+        fn deliver(&self, replica: ReplicaId, msg: &Message) {
+            self.push(sealed(replica, CLIENT_NODE, msg));
+        }
+
+        /// Drops the only sender: the client's mailbox disconnects.
+        fn shut_down(&self) {
+            self.inbox.lock().take();
+        }
+    }
+
+    impl Transport for ScriptedReplicas {
+        type Mailbox = ScriptedMailbox;
+
+        fn send(&self, _from: NodeId, to: NodeId, payload: Vec<u8>) {
+            for reply in (self.answer)(to, &opened_by(to, &payload)) {
+                self.deliver(to, &reply);
+            }
+        }
+
+        fn peers(&self) -> Vec<NodeId> {
+            (0..4).collect()
+        }
+    }
+
+    struct Client {
+        handle: ReplicatedPeats<ScriptedReplicas>,
+        net: ScriptedReplicas,
+        seen: Arc<Seen>,
+    }
+
+    impl Client {
+        fn received(&self) -> u64 {
+            self.seen.received.load(Ordering::Relaxed)
+        }
+
+        /// The session holding the reader role, if one does.
+        fn reader(&self) -> Option<u64> {
+            match self.handle.demux.sessions.lock().reader {
+                Role::Held(req_id) => Some(req_id),
+                Role::Offered(_) | Role::Free => None,
+            }
+        }
+
+        /// Nobody reads, and nobody was asked to.
+        fn role_is_free(&self) -> bool {
+            matches!(self.handle.demux.sessions.lock().reader, Role::Free)
+        }
+
+        /// The sessions blocked on their own channel inside `wait`.
+        fn waiting(&self) -> Vec<u64> {
+            let sessions = self.handle.demux.sessions.lock();
+            let waiting = sessions.by_req.iter().filter(|(_, s)| s.waiting);
+            waiting.map(|(&req_id, _)| req_id).collect()
+        }
+    }
+
+    /// A handle for `CLIENT_PID` at `CLIENT_NODE` (f = 1) onto four
+    /// replicas that answer as `answer` says.
+    fn client(
+        cfg: ClientConfig,
+        flood: Option<Envelope>,
+        answer: impl Fn(ReplicaId, &Message) -> Vec<Message> + Send + Sync + 'static,
+    ) -> Client {
+        let (tx, rx) = mpsc::channel();
+        let net = ScriptedReplicas {
+            inbox: Arc::new(parking_lot::Mutex::new(Some(tx))),
+            answer: Arc::new(answer),
+        };
+        let mut mailbox = ScriptedMailbox::new(CLIENT_NODE, rx);
+        mailbox.flood = flood;
+        let seen = Arc::clone(&mailbox.seen);
+        let keys = KeyTable::new(u64::from(CLIENT_NODE), MASTER.to_vec());
+        let handle = ReplicatedPeats::connect(net.clone(), mailbox, keys, CLIENT_PID, 1, 4, cfg);
+        Client { handle, net, seen }
+    }
+
+    fn reply(replica: ReplicaId, req_id: u64, result: OpResult) -> Message {
+        Message::Reply {
+            view: 0,
+            seq: req_id,
+            req_id,
+            replica,
+            result,
+        }
+    }
+
+    /// Every replica executes every request, at slot `req_id`, to `result`.
+    fn all_reply(result: OpResult) -> impl Fn(ReplicaId, &Message) -> Vec<Message> + Send + Sync {
+        move |replica, msg| match msg {
+            Message::Request(request) => vec![reply(replica, request.req_id, result.clone())],
+            _ => Vec::new(),
+        }
+    }
+
+    /// Replicas that park registrations and answer nothing else.
+    fn only_registers(replica: ReplicaId, msg: &Message) -> Vec<Message> {
+        match msg {
+            Message::Request(Request {
+                req_id,
+                op: RequestOp::Register { .. },
+                ..
+            }) => vec![reply(replica, *req_id, OpResult::Registered)],
+            _ => Vec::new(),
+        }
+    }
+
+    /// Waits (10 s at most) for another thread to bring `cond` about.
+    fn eventually(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "never happened: {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn unavailable(result: SpaceResult<()>) -> String {
+        match result {
+            Err(SpaceError::Unavailable(why)) => why,
+            other => panic!("expected Unavailable, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_handle_with_no_invocation_waiting_does_not_read() {
+        let c = client(ClientConfig::default(), None, all_reply(OpResult::Done));
+        c.handle.out(tuple!["A"]).unwrap();
+        assert_eq!(c.received(), 2, "f+1 replies decide; two stay queued");
+        assert!(c.role_is_free());
+        c.handle.out(tuple!["B"]).unwrap();
+        assert_eq!(
+            c.received(),
+            6,
+            "the next wait drops the two late replies, then takes its own f+1"
+        );
+        assert_eq!(c.handle.rebroadcasts(), 0);
+    }
+
+    #[test]
+    fn junk_queued_on_an_idle_handle_delays_the_next_op_by_a_bounded_amount() {
+        let c = client(ClientConfig::default(), None, all_reply(OpResult::Done));
+        for i in 0..10_000u64 {
+            if i % 2 == 0 {
+                c.net.push((3, vec![0xFF; 64]));
+            } else {
+                // What really piles up: authentic replies to requests long
+                // decided. Each costs a MAC check and a routing miss.
+                c.net.deliver(3, &reply(3, 1_000_000 + i, OpResult::Done));
+            }
+        }
+        let start = Instant::now();
+        c.handle.out(tuple!["A"]).unwrap();
+        let took = start.elapsed();
+        assert_eq!(c.received(), 10_002, "all of it was in the way");
+        assert!(took < Duration::from_secs(1), "took {took:?}");
+    }
+
+    #[test]
+    fn a_flooding_replica_cannot_keep_an_invocation_past_its_timeout() {
+        let cfg = ClientConfig {
+            invoke_timeout: Duration::from_millis(200),
+            retry_interval: Duration::from_millis(50),
+            ..ClientConfig::default()
+        };
+        // Replica 3 refills the mailbox faster than any reader drains it,
+        // with authentic replies to a request nobody made.
+        let flood = sealed(3, CLIENT_NODE, &reply(3, u64::MAX, OpResult::Done));
+        let c = client(cfg, Some(flood), |_, _| Vec::new());
+        let start = Instant::now();
+        let why = unavailable(c.handle.out(tuple!["A"]));
+        assert!(why.contains("timeout"), "{why}");
+        assert!(start.elapsed() < Duration::from_secs(2));
+        assert!(c.handle.rebroadcasts() >= 2, "retries kept their pace");
+    }
+
+    #[test]
+    fn nothing_of_a_handle_outlives_its_last_clone() {
+        let Client { handle, seen, .. } = client(ClientConfig::default(), None, only_registers);
+        let clone = handle.clone();
+        let subscription = handle.subscribe(&template!["E", ?x]).unwrap();
+        drop(handle);
+        drop(clone);
+        assert!(
+            !seen.dropped.load(Ordering::SeqCst),
+            "the subscription still receives through the mailbox"
+        );
+        drop(subscription);
+        assert!(
+            seen.dropped.load(Ordering::SeqCst),
+            "the last owner gone, the mailbox must go with it"
+        );
+    }
+
+    /// The two wakes that certify one event of subscription `req_id`.
+    fn deliver_event(net: &ScriptedReplicas, req_id: u64, seq: Seq, event: &Tuple) {
+        for replica in [0, 1] {
+            let wake = Message::Wake {
+                req_id,
+                seq,
+                result: OpResult::Tuple(Some(event.clone())),
+                replica,
+            };
+            net.deliver(replica, &wake);
+        }
+    }
+
+    #[test]
+    fn a_reader_that_times_out_hands_the_role_to_a_session_that_is_waiting() {
+        let cfg = ClientConfig {
+            invoke_timeout: Duration::from_millis(300),
+            retry_interval: Duration::from_secs(60),
+            ..ClientConfig::default()
+        };
+        let c = client(cfg, None, only_registers);
+        let mut subscription = c.handle.subscribe(&template!["E", ?x]).unwrap(); // req 1
+        std::thread::scope(|scope| {
+            let doomed = scope.spawn(|| c.handle.out(tuple!["A"])); // req 2
+            eventually("the out reads", || c.reader() == Some(2));
+            let tail = scope.spawn(|| subscription.next_timeout(Duration::from_secs(30)));
+            eventually("the subscriber waits", || c.waiting() == [1]);
+
+            let why = unavailable(doomed.join().unwrap());
+            assert!(why.contains("timeout"), "{why}");
+            // Nobody else is left to read this: only a subscriber that took
+            // the role over sees it.
+            deliver_event(&c.net, 1, 7, &tuple!["E", 1]);
+            assert_eq!(tail.join().unwrap().unwrap(), Some(tuple!["E", 1]));
+        });
+    }
+
+    #[test]
+    fn a_registered_session_nobody_waits_in_is_never_made_the_reader() {
+        let cfg = ClientConfig {
+            invoke_timeout: Duration::from_millis(100),
+            ..ClientConfig::default()
+        };
+        let c = client(cfg, None, only_registers);
+        let mut subscription = c.handle.subscribe(&template!["E", ?x]).unwrap(); // req 1
+
+        // A reader leaves while the subscription is registered but idle.
+        unavailable(c.handle.out(tuple!["A"]));
+        assert!(
+            c.role_is_free(),
+            "an idle subscription cannot read: the role must not go to it"
+        );
+
+        // Events pushed while nobody waits stay where they are...
+        let before = c.received();
+        for (seq, i) in [(5, 1), (6, 2), (9, 3)] {
+            deliver_event(&c.net, 1, seq, &tuple!["E", i]);
+        }
+        assert_eq!(c.received(), before);
+        // ...and the next `next_timeout` delivers them, in order.
+        for i in 1..=3 {
+            let event = subscription.next_timeout(Duration::from_secs(10)).unwrap();
+            assert_eq!(event, Some(tuple!["E", i]));
+        }
+        assert_eq!(
+            subscription
+                .next_timeout(Duration::from_millis(10))
+                .unwrap(),
+            None
+        );
+    }
+
+    #[test]
+    fn a_disconnected_mailbox_fails_every_waiter_fast() {
+        let cfg = ClientConfig {
+            retry_interval: Duration::from_secs(60),
+            invoke_timeout: Duration::from_secs(120),
+            ..ClientConfig::default()
+        };
+        let c = client(cfg, None, |_, _| Vec::new());
+        std::thread::scope(|scope| {
+            let invokers: Vec<_> = (0..3)
+                .map(|i| {
+                    let handle = c.handle.clone();
+                    scope.spawn(move || handle.out(tuple!["A", i]))
+                })
+                .collect();
+            eventually("one reads, two wait", || {
+                c.reader().is_some() && c.waiting().len() == 2
+            });
+            let start = Instant::now();
+            c.net.shut_down();
+            for invoker in invokers {
+                let why = unavailable(invoker.join().unwrap());
+                assert!(why.contains("shut down"), "{why}");
+            }
+            assert!(start.elapsed() < Duration::from_secs(5));
+        });
+        // Closed for good: a later invocation does not wait at all.
+        let why = unavailable(c.handle.out(tuple!["B"]));
+        assert!(why.contains("shut down"), "{why}");
+    }
+
+    /// How the race between a timed-out `take`'s `Cancel` and a matching
+    /// `out` ended, and whether the wakes of a match got through.
+    #[derive(Clone, Copy)]
+    enum Race {
+        CancelWon,
+        MatchWon { wakes_lost: bool },
+    }
+
+    fn timed_out_take(race: Race) -> SpaceResult<Tuple> {
+        let cfg = ClientConfig {
+            invoke_timeout: Duration::from_millis(100),
+            retry_interval: Duration::from_secs(5),
+            ..ClientConfig::default()
+        };
+        let matched = || OpResult::Tuple(Some(tuple!["JOB", 1]));
+        let cancelled = AtomicBool::new(false);
+        let c = client(cfg, None, move |replica, msg| {
+            let Message::Request(request) = msg else {
+                return Vec::new();
+            };
+            let req_id = request.req_id;
+            match (&request.op, race) {
+                // The take is request 1. Until its cancel is ordered the
+                // registration is parked; afterwards the reply cache holds
+                // the outcome of the race.
+                (RequestOp::Register { .. }, Race::MatchWon { .. })
+                    if cancelled.load(Ordering::SeqCst) =>
+                {
+                    vec![reply(replica, req_id, matched())]
+                }
+                (RequestOp::Register { .. }, _) => {
+                    vec![reply(replica, req_id, OpResult::Registered)]
+                }
+                (RequestOp::Cancel { target }, _) => {
+                    cancelled.store(true, Ordering::SeqCst);
+                    let wake = Message::Wake {
+                        req_id: *target,
+                        seq: 2,
+                        result: matched(),
+                        replica,
+                    };
+                    let done = reply(replica, req_id, OpResult::Done);
+                    match race {
+                        // The match committed just ahead of the cancel, and
+                        // its wakes reach the client while the cancel runs.
+                        Race::MatchWon { wakes_lost: false } => vec![wake, done],
+                        _ => vec![done],
+                    }
+                }
+                _ => Vec::new(),
+            }
+        });
+        c.handle.take(&template!["JOB", ?x])
+    }
+
+    #[test]
+    fn a_timed_out_take_settles_its_race_with_the_cancel_either_way() {
+        match timed_out_take(Race::CancelWon) {
+            Err(SpaceError::Unavailable(why)) => assert!(why.contains("cancelled"), "{why}"),
+            other => panic!("the cancel won, yet: {other:?}"),
+        }
+        // The tuple was taken on this client's behalf: reporting a timeout
+        // would leak it — also when every wake was lost and only the reply
+        // caches remember.
+        for wakes_lost in [false, true] {
+            assert_eq!(
+                timed_out_take(Race::MatchWon { wakes_lost }).unwrap(),
+                tuple!["JOB", 1],
+                "wakes lost: {wakes_lost}"
+            );
+        }
     }
 }

@@ -278,8 +278,10 @@ impl ThreadedCluster {
     }
 
     /// Takes the [`TupleSpace`](peats::TupleSpace) handle for client slot
-    /// `idx`, spawning its reply-router thread. Clones of the handle share
-    /// the router and invoke concurrently.
+    /// `idx`, which takes the slot's mailbox with it and starts no thread:
+    /// whichever invocation is waiting receives (see
+    /// [`runtime`](crate::runtime)). Clones of the handle share the
+    /// mailbox and invoke concurrently.
     ///
     /// # Panics
     ///
@@ -431,7 +433,8 @@ mod tests {
         // rebroadcast path). With the reply demux, invocations from clones
         // genuinely overlap (max in-flight ≥ 2 — impossible under the old
         // lock, which held broadcast-to-decision as one critical section)
-        // and none of them needs a single retry round. The retry interval
+        // and none of them needs a single retry round, however often the
+        // reader role changes hands between them. The retry interval
         // is generous so a scheduler stall on a loaded CI box cannot
         // legitimately trigger a rebroadcast — only a lost/eaten reply can.
         let mut cluster = ThreadedCluster::start_with(
@@ -450,8 +453,8 @@ mod tests {
         )
         .unwrap();
         let h = cluster.handle(0);
-        let clones = 4;
-        let ops = 16;
+        let clones = 8;
+        let ops = 200;
         let barrier = Arc::new(std::sync::Barrier::new(clones));
         let joins: Vec<_> = (0..clones)
             .map(|c| {
@@ -479,6 +482,51 @@ mod tests {
             "no reply may be eaten: every invoke must decide on its first broadcast"
         );
         assert_eq!(h.issued_requests(), (clones * ops) as u64);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_parked_take_does_not_slow_its_sibling_clones() {
+        // One clone sits in a `take` nothing matches — registered, parked,
+        // waiting, and for most of the run the session the reader role
+        // falls back to. Its siblings' replies must reach them as they
+        // arrive: an op that had to wait for the take's next wake-up
+        // (there is none before its deadline) would show as a stall of a
+        // retry interval.
+        let mut cluster =
+            ThreadedCluster::start(Policy::allow_all(), PolicyParams::new(), 1, &[100], &[])
+                .unwrap();
+        let retry_interval = cluster.client_cfg.retry_interval;
+        let h = cluster.handle(0);
+        let parked = {
+            let h = h.clone();
+            std::thread::spawn(move || h.take(&template!["NEVER", ?x]))
+        };
+        while cluster.replica_footprint(0).registrations == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let time = |op: &dyn Fn()| {
+            let start = Instant::now();
+            op();
+            start.elapsed()
+        };
+        let mut latencies: Vec<Duration> = (0..500i64)
+            .flat_map(|i| {
+                [
+                    time(&|| h.out(tuple!["S", i]).unwrap()),
+                    time(&|| assert!(h.rdp(&template!["S", i]).unwrap().is_some())),
+                ]
+            })
+            .collect();
+        latencies.sort();
+        let p99 = latencies[latencies.len() * 99 / 100];
+        assert!(
+            p99 < retry_interval / 10,
+            "p99 {p99:?} of 500 outs and 500 rdps beside a parked take"
+        );
+        assert_eq!(h.rebroadcasts(), 0, "nothing waited for a retry tick");
+        h.out(tuple!["NEVER", 1]).unwrap();
+        assert_eq!(parked.join().unwrap().unwrap(), tuple!["NEVER", 1]);
         cluster.shutdown();
     }
 

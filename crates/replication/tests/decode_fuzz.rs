@@ -186,6 +186,17 @@ fn sample_bucket_digests() -> Vec<BucketDigest> {
     ]
 }
 
+/// Opens `frame` both ways — [`Sealed::open_bytes`] in place, and the owned
+/// `from_bytes` + `open` it stands in for — and insists they agree.
+fn open_both_ways(receiver: &KeyTable, frame: &[u8]) -> Option<(u64, Message)> {
+    let in_place = Sealed::open_bytes(receiver, frame);
+    let owned = Sealed::from_bytes(frame)
+        .ok()
+        .and_then(|sealed| sealed.open(receiver));
+    assert_eq!(in_place, owned, "the two open paths disagree on {frame:?}");
+    in_place
+}
+
 proptest! {
     /// Arbitrary buffers never panic any of the decoders — network wire
     /// shapes and durable on-disk shapes alike.
@@ -193,6 +204,7 @@ proptest! {
     fn random_buffers_decode_without_panicking(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let _ = Message::from_bytes(&bytes);
         let _ = Sealed::from_bytes(&bytes);
+        let _ = open_both_ways(&KeyTable::new(2, b"fuzz-master".to_vec()), &bytes);
         let _ = ReplicaSnapshot::from_bytes(&bytes);
         let _ = WalRecord::from_bytes(&bytes);
         let _ = BucketDigest::from_bytes(&bytes);
@@ -282,6 +294,7 @@ proptest! {
         // Truncation.
         let cut = pos % bytes.len();
         prop_assert!(Sealed::from_bytes(&bytes[..cut]).is_err());
+        prop_assert!(open_both_ways(&receiver, &bytes[..cut]).is_none());
 
         // Corruption: decoding may succeed, opening must not.
         let mut corrupt = bytes.clone();
@@ -293,10 +306,17 @@ proptest! {
                 "tampered byte {pos} survived the MAC check"
             );
         }
+        prop_assert!(open_both_ways(&receiver, &corrupt).is_none());
+
+        // A byte too many is a different frame, not a frame and a byte.
+        let mut longer = bytes.clone();
+        longer.push(xor);
+        prop_assert!(open_both_ways(&receiver, &longer).is_none());
 
         // The untampered envelope still opens.
         let reopened = Sealed::from_bytes(&bytes).expect("valid envelope");
         prop_assert!(reopened.open(&receiver).is_some());
+        prop_assert!(open_both_ways(&receiver, &bytes).is_some());
     }
 
     /// Length-prefixed collections inside a snapshot cannot trigger huge
@@ -322,4 +342,6 @@ fn truncated_envelope_claiming_4gib_is_rejected_before_allocation() {
     bytes.truncate(8 + 32 + 4 + 3); // from, mac, length prefix, 3 body bytes
     bytes[40..44].copy_from_slice(&u32::MAX.to_le_bytes());
     assert_eq!(Sealed::from_bytes(&bytes), Err(DecodeError::LengthOverflow));
+    let receiver = KeyTable::new(2, b"fuzz-master".to_vec());
+    assert_eq!(open_both_ways(&receiver, &bytes), None);
 }

@@ -79,6 +79,13 @@ impl Bencher {
         }
         self.elapsed = start.elapsed();
     }
+
+    /// Hands `routine` the iteration count and records the time it
+    /// returns — for a body that must leave part of each iteration (an
+    /// idle gap, a hand-off to another thread) off the clock.
+    pub fn iter_custom<R: FnMut(u64) -> Duration>(&mut self, mut routine: R) {
+        self.elapsed = routine(self.iters);
+    }
 }
 
 /// The benchmark driver.
@@ -213,6 +220,16 @@ mod tests {
         let mut ran = 0u32;
         c.bench_function("smoke", |b| b.iter(|| ran += 1));
         assert!(ran >= 10);
+    }
+
+    #[test]
+    fn iter_custom_reports_the_time_the_body_returns() {
+        let mut b = Bencher {
+            iters: 3,
+            elapsed: Duration::ZERO,
+        };
+        b.iter_custom(|iters| Duration::from_nanos(7 * iters));
+        assert_eq!(b.elapsed, Duration::from_nanos(21));
     }
 
     #[test]
