@@ -33,7 +33,11 @@
 //! A sixth section measures disk-first recovery: fill a durable cluster to
 //! several state sizes, stop it, and time a cold `DurableStore::open` +
 //! snapshot restore + WAL replay of one replica — the restart path as a
-//! measured number, with the on-disk footprint it reads.
+//! measured number, with the on-disk footprint it reads. A snapshot is
+//! taken when the log has outgrown the last one, not at every checkpoint,
+//! so `snapshot_seq` trails `last_exec` by up to about a state's worth of
+//! log, `replayed_batches` is that suffix, and `disk_bytes` is two
+//! snapshots plus the log since the older one.
 //!
 //! Emits `BENCH_replication.json` (override with `--out PATH`) in the same
 //! shape as `BENCH_space.json`; `--smoke` shrinks the sweep for CI.

@@ -48,6 +48,12 @@ impl Daemons {
             .collect()
     }
 
+    /// Where a durable daemon's stdout goes, across its restarts.
+    fn stdout_path(&self, id: usize) -> std::path::PathBuf {
+        let dir = self.data_dir.as_ref().expect("durable cluster");
+        dir.join(format!("peatsd-{id}.out"))
+    }
+
     fn servers_flag(&self) -> String {
         (0..self.ports.len())
             .map(|id| format!("{id}={}", self.addr(id)))
@@ -75,6 +81,14 @@ impl Daemons {
             .stderr(Stdio::null());
         if let Some(dir) = &self.data_dir {
             cmd.arg("--data-dir").arg(dir);
+            // What each life of the daemon reported, recovery line included.
+            std::fs::create_dir_all(dir).expect("create data dir");
+            let log = std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(self.stdout_path(id))
+                .expect("open daemon log");
+            cmd.stdout(log);
         }
         for peer in 0..self.ports.len() {
             if peer != id {
@@ -295,6 +309,19 @@ fn full_cluster_sigkill_recovers_from_disk() {
         d.spawn(id);
     }
     d.wait_all_accepting();
+
+    // SIGKILL tears nothing: the log of a killed daemon ends in the zeros
+    // of its preallocated segment, and that is not a truncated tail.
+    for id in 0..4 {
+        let out = std::fs::read_to_string(d.stdout_path(id)).unwrap();
+        assert_eq!(
+            out.matches("recovered from").count(),
+            2,
+            "replica {id}: {out}"
+        );
+        assert!(!out.contains("WAL tail truncated"), "replica {id}: {out}");
+        assert!(!out.contains("fell back"), "replica {id}: {out}");
+    }
 
     // The whole space survived — including the un-checkpointed WAL tail.
     let (code, out, err) = cli(&d, 5, 101, &["count", r#"<"KEEP", *>"#]);

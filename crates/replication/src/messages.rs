@@ -775,7 +775,7 @@ impl Encode for Message {
     }
 }
 
-fn encode_batch(batch: &[Request], buf: &mut Vec<u8>) {
+pub(crate) fn encode_batch(batch: &[Request], buf: &mut Vec<u8>) {
     (batch.len() as u32).encode(buf);
     for req in batch {
         req.encode(buf);

@@ -1258,14 +1258,23 @@ impl Replica {
         }
         // Never assign below the watermark again.
         self.next_seq = self.next_seq.max(h);
-        self.persist_stable(h, digest);
+        // On disk, the log alone carries most checkpoints: the store says
+        // when it has grown enough to be worth folding into a snapshot.
+        if self
+            .store
+            .as_ref()
+            .is_some_and(DurableStore::wants_snapshot)
+        {
+            self.persist_stable(h, digest);
+        }
     }
 
-    /// Writes the just-stabilized checkpoint to disk and prunes the log
-    /// behind it (no-op without a data dir). The persisted attestation is
-    /// recomputed over the state actually captured: stabilization can
-    /// trail execution, so `last_exec` may sit past `h` — the snapshot
-    /// records both points and recovery replays from `exec_seq`.
+    /// Writes a snapshot anchored at stable checkpoint `h` to disk and
+    /// prunes the log behind it (no-op without a data dir). The persisted
+    /// attestation is recomputed over the state actually captured:
+    /// stabilization can trail execution, so `last_exec` may sit past `h`
+    /// — the snapshot records both points and recovery replays from
+    /// `exec_seq`.
     fn persist_stable(&mut self, h: Seq, digest: Digest) {
         if self.store.is_none() {
             return;
@@ -1484,6 +1493,10 @@ impl Replica {
             .collect();
         self.last_exec = seq;
         self.record_checkpoint_vote(seq, digest, self.cfg.id);
+        // The history this jumped over never went through our log, so only
+        // a snapshot makes the disk reach `last_exec` again — whatever the
+        // log's size says.
+        self.persist_stable(seq, digest);
         self.collect_garbage(seq, digest);
         // Requests the snapshot's history already answered must not be
         // re-ordered.

@@ -757,40 +757,61 @@ mod tests {
     }
 
     /// The durable tier through the threaded driver: sustained traffic
-    /// keeps the on-disk footprint bounded (checkpoints prune WAL
-    /// segments and old snapshots), and a restarted replica comes back
-    /// from its data dir — `last_exec` is recovered synchronously, before
-    /// a single network message could have carried state transfer.
+    /// keeps the on-disk footprint bounded by the size of the state (a
+    /// snapshot is taken when the log has outgrown the last one, and
+    /// prunes the segments and snapshots behind it), and replicas come
+    /// back from their data dirs — a restart between two snapshots replays
+    /// the log since the older one to exactly the state that was lost,
+    /// synchronously, before a single network message could have carried
+    /// state transfer.
     #[test]
     fn durable_cluster_bounds_disk_and_restarts_from_disk() {
+        const INTERVAL: u64 = 4;
+        const OPS: u64 = 160;
         let dir =
             std::env::temp_dir().join(format!("peats-threaded-durable-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut cluster = ThreadedCluster::start_with(
-            Policy::allow_all(),
-            PolicyParams::new(),
-            1,
-            &[100],
-            &[],
-            ClusterConfig {
-                checkpoint_interval: 4,
-                data_dir: Some(dir.clone()),
-                ..ClusterConfig::default()
-            },
-        )
-        .unwrap();
+        let config = ClusterConfig {
+            checkpoint_interval: INTERVAL,
+            data_dir: Some(dir.clone()),
+            ..ClusterConfig::default()
+        };
+        let start = |config: &ClusterConfig| {
+            ThreadedCluster::start_with(
+                Policy::allow_all(),
+                PolicyParams::new(),
+                1,
+                &[100],
+                &[],
+                config.clone(),
+            )
+            .unwrap()
+        };
+        let mut cluster = start(&config);
         let h = cluster.handle(0);
-        for i in 0..40i64 {
+        for i in 0..OPS as i64 {
             h.out(tuple!["D", i]).unwrap();
         }
-        // Wait for checkpointing to settle so every replica has persisted
-        // a snapshot and pruned its log.
+        // Wait until every replica has executed everything and the last
+        // checkpoint has settled.
         let deadline = Instant::now() + Duration::from_secs(5);
         while Instant::now() < deadline
-            && (0..cluster.n_replicas()).any(|id| cluster.stable_seq(id) == 0)
+            && (0..cluster.n_replicas())
+                .any(|id| cluster.last_exec(id) < OPS || cluster.stable_seq(id) < OPS)
         {
             std::thread::sleep(Duration::from_millis(20));
         }
+        let snapshot_files = |id: usize| {
+            let mut names: Vec<String> = std::fs::read_dir(dir.join(format!("replica-{id}")))
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .filter(|n| n.starts_with("snap-") && n.ends_with(".bin"))
+                .collect();
+            names.sort();
+            names
+        };
+        // Generous for one logged `out`: the real record is ~60 bytes.
+        let interval_bytes = INTERVAL * 128;
         for id in 0..cluster.n_replicas() {
             let fp = cluster.replica_footprint(id);
             assert!(fp.snapshot_bytes > 0, "replica {id} never wrote a snapshot");
@@ -799,24 +820,34 @@ mod tests {
                 "replica {id} retains {} WAL segments after pruning",
                 fp.wal_segments
             );
+            // The log between the two retained snapshots, and the log
+            // since: each under its snapshot's size plus the interval that
+            // tipped it over.
             assert!(
-                fp.wal_bytes < 100 * 1024,
-                "replica {id} retains {} WAL bytes for a tiny workload",
-                fp.wal_bytes
+                fp.wal_bytes <= fp.snapshot_bytes + 2 * interval_bytes,
+                "replica {id}: {} WAL bytes beside {} of snapshots",
+                fp.wal_bytes,
+                fp.snapshot_bytes
             );
+            assert_eq!(snapshot_files(id).len(), 2, "replica {id}");
         }
 
         // Crash-and-restart replica 0: its fresh state machine must load
         // the durable snapshot + WAL suffix during `restart_replica`
-        // itself (the other replicas haven't even been asked yet).
-        let stable_before = cluster.stable_seq(0);
-        assert!(stable_before > 0);
+        // itself (the other replicas haven't even been asked yet). The
+        // newest snapshot is far older than the newest stable checkpoint —
+        // a state of a hundred tuples is worth some twenty intervals of
+        // log — so the suffix is a long one.
+        let (exec, digest) = (cluster.last_exec(0), cluster.state_digest(0));
+        assert_eq!(exec, OPS);
         cluster.restart_replica(0);
         assert!(
-            cluster.last_exec(0) >= stable_before,
-            "restarted replica recovered last_exec {} from disk, expected at least {stable_before}",
-            cluster.last_exec(0)
+            cluster.stable_seq(0) + 4 * INTERVAL <= OPS,
+            "snapshot at {}: nearly every checkpoint was persisted",
+            cluster.stable_seq(0)
         );
+        assert_eq!(cluster.last_exec(0), exec);
+        assert_eq!(cluster.state_digest(0), digest);
 
         // And it still participates: fresh writes land cluster-wide.
         h.out(tuple!["POST", 1]).unwrap();
@@ -824,6 +855,30 @@ mod tests {
             h.rdp(&template!["POST", 1]).unwrap(),
             Some(tuple!["POST", 1])
         );
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while Instant::now() < deadline
+            && (0..cluster.n_replicas()).any(|id| cluster.last_exec(id) <= OPS)
+        {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let (exec, digest) = (cluster.last_exec(1), cluster.state_digest(1));
+        cluster.shutdown();
+
+        // Full-cluster stop; replica 0's newest snapshot rots on disk. It
+        // falls back to the older one and a longer replay, the others take
+        // their newest, and all of them are where they stopped.
+        let newest = snapshot_files(0).pop().unwrap();
+        let path = dir.join("replica-0").join(newest);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        std::fs::write(&path, bytes).unwrap();
+        let cluster = start(&config);
+        for id in 0..cluster.n_replicas() {
+            assert_eq!(cluster.last_exec(id), exec, "replica {id}");
+            assert_eq!(cluster.state_digest(id), digest, "replica {id}");
+        }
+        assert!(cluster.stable_seq(0) < cluster.stable_seq(1));
         cluster.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
