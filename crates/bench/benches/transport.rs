@@ -12,9 +12,11 @@
 //! when the receiver is *another* thread depends on what that thread was
 //! doing: `hop_to_thread` times `send` → "the receiver's thread has it"
 //! for a receiver still inside its mailbox's snooze (frames back to back)
-//! and for one that has parked (the sender idles 200 µs first). Their
-//! difference is the price of one sleep; `client_round_trip` is what a
-//! whole ordered `out` — some thirty such hand-offs — comes to.
+//! and for one that has gone to sleep (the sender idles 200 µs first) —
+//! parked on its channel over `ThreadNet`, inside `poll` over
+//! `TcpTransport`. Their difference is the price of one sleep;
+//! `client_round_trip` is what a whole ordered `out` — some thirty such
+//! hand-offs — comes to.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use peats::{Policy, PolicyParams, TupleSpace};
@@ -63,20 +65,31 @@ fn bench_all<T: Transport>(c: &mut Criterion, name: &str, net: &T, mailbox: &T::
 
 fn bench_thread_net(c: &mut Criterion) {
     let (net, mut mailboxes) = ThreadNet::new(2);
-    bench_all(c, "thread_net", &net, &mailboxes.remove(1));
+    let mailbox = mailboxes.remove(1);
+    bench_all(c, "thread_net", &net, &mailbox);
+    // Spinning, as these rows have been measured since they were added.
+    let receiver = bench_hop_to_thread(c, "thread_net", &net, mailbox, std::hint::spin_loop);
+    drop(net); // the last sender: the receiver's mailbox disconnects
+    receiver.join().expect("receiver panicked");
 }
 
 /// `send` → the moment the receiving *thread* holds the frame, the sender
 /// idling `idle` before each frame. The receiver's report goes back over a
-/// separate channel, off the clock.
-fn bench_hop_to_thread(c: &mut Criterion) {
-    let (net, mut mailboxes) = ThreadNet::new(2);
-    let mailbox = mailboxes.remove(1);
+/// separate channel, off the clock; the sender passes the time until it
+/// comes with `wait`. Returns the receiving thread, which ends when its
+/// mailbox disconnects.
+fn bench_hop_to_thread<T: Transport>(
+    c: &mut Criterion,
+    name: &str,
+    net: &T,
+    mailbox: T::Mailbox,
+    wait: fn(),
+) -> std::thread::JoinHandle<()> {
     let (got_tx, got_rx) = mpsc::channel();
     let receiver = std::thread::spawn(move || {
         while mailbox.recv().is_some() && got_tx.send(Instant::now()).is_ok() {}
     });
-    let mut group = c.benchmark_group("transport/thread_net/hop_to_thread");
+    let mut group = c.benchmark_group(format!("transport/{name}/hop_to_thread"));
     group.sample_size(SAMPLES);
     for (name, idle) in [
         ("receiver_awake", Duration::ZERO),
@@ -88,12 +101,12 @@ fn bench_hop_to_thread(c: &mut Criterion) {
                     std::thread::sleep(idle);
                     let sent = Instant::now();
                     net.send(0, 1, black_box(vec![0xA5; FRAME]));
-                    // Spinning, not blocking: a sender that slept here
-                    // would give the receiver time to park in both rows.
+                    // Not blocking: a sender that slept here would give
+                    // the receiver time to park in both rows.
                     let got = loop {
                         match got_rx.try_recv() {
                             Ok(got) => break got,
-                            Err(mpsc::TryRecvError::Empty) => std::hint::spin_loop(),
+                            Err(mpsc::TryRecvError::Empty) => wait(),
                             Err(mpsc::TryRecvError::Disconnected) => panic!("receiver died"),
                         }
                     };
@@ -104,8 +117,7 @@ fn bench_hop_to_thread(c: &mut Criterion) {
         });
     }
     group.finish();
-    drop(net); // the last sender: the receiver's mailbox disconnects
-    receiver.join().expect("receiver panicked");
+    receiver
 }
 
 /// The client round trip: one ordered `out` from a single client against
@@ -140,14 +152,20 @@ fn bench_tcp(c: &mut Criterion) {
     // once it is through, the link is up and sends take the direct path.
     hop(&sender, &mailbox);
     bench_all(c, "tcp_loopback", &sender, &mailbox);
+    // Yielding, not spinning: the kernel wakes a socket's sleeping reader on
+    // the writer's core, on the promise that the writer is about to sleep,
+    // and a sender that spins there keeps it waiting for the rest of a time
+    // slice.
+    let receiving =
+        bench_hop_to_thread(c, "tcp_loopback", &sender, mailbox, std::thread::yield_now);
     sender.shutdown();
-    receiver.shutdown();
+    receiver.shutdown(); // the receiver's mailbox disconnects
+    receiving.join().expect("receiver panicked");
 }
 
 criterion_group!(
     benches,
     bench_thread_net,
-    bench_hop_to_thread,
     bench_tcp,
     bench_client_round_trip
 );

@@ -8,11 +8,12 @@
 //! and split reads (the OS delivering a frame in arbitrary chunks) are
 //! handled by construction.
 //!
-//! These helpers are the single framing implementation shared by
-//! `peats-net`'s connection threads — per-connection ad-hoc framing is how
-//! length-confusion bugs happen. A connection's reader uses the buffered
-//! [`FrameReader`] (one `read` can deliver many frames); its senders build
-//! their bytes with [`append_frame`].
+//! These helpers are the single framing implementation `peats-net` uses
+//! on every connection — per-connection ad-hoc framing is how
+//! length-confusion bugs happen. A connection is read through the buffered
+//! [`FrameReader`] (one `read` can deliver many frames, and a partial
+//! frame never makes the reader wait); its senders build their bytes with
+//! [`append_frame`].
 //!
 //! The *checked* variants ([`write_checked_frame`] / [`read_checked_frame`])
 //! add a CRC-32 of the payload after the length prefix. They exist for the
@@ -138,6 +139,18 @@ const READ_CHUNK: usize = 64 * 1024;
 /// The defences of the module docs hold here: a length is checked against
 /// the cap before the buffer grows for it, and a stream that ends inside a
 /// frame is an error, not a clean close.
+///
+/// Reading comes in two steps a caller may take apart: [`fill_once`] does
+/// one `read` into the buffer and [`buffered_frame`] cuts the next complete
+/// frame out of it, or says "not yet". A thread that serves many
+/// connections takes them apart — it reads a connection only when told
+/// there is input, so a peer that sends half a frame and stops holds up
+/// nobody. [`next_frame`] is the two in a loop, for a reader with one
+/// stream and nothing better to do than wait for it.
+///
+/// [`fill_once`]: FrameReader::fill_once
+/// [`buffered_frame`]: FrameReader::buffered_frame
+/// [`next_frame`]: FrameReader::next_frame
 #[derive(Debug)]
 pub struct FrameReader<R> {
     inner: R,
@@ -162,7 +175,8 @@ impl<R: Read> FrameReader<R> {
 
     /// The next frame's payload, valid until the next call; `Ok(None)` on
     /// a clean end-of-stream (the peer closed between frames). Zero-length
-    /// frames are valid and yield an empty slice.
+    /// frames are valid and yield an empty slice. Blocks as long as the
+    /// stream's `read` does.
     ///
     /// # Errors
     ///
@@ -171,6 +185,47 @@ impl<R: Read> FrameReader<R> {
     /// stream failure — including an end-of-stream *inside* a frame, which
     /// is truncation, not a clean close.
     pub fn next_frame(&mut self) -> Result<Option<&[u8]>, FrameError> {
+        loop {
+            if let Some(payload) = self.cut()? {
+                return Ok(Some(&self.buf[payload]));
+            }
+            if self.fill_once()? == 0 {
+                if self.start == self.end {
+                    return Ok(None); // clean EOF between frames
+                }
+                return Err(truncated("stream ended inside a frame"));
+            }
+        }
+    }
+
+    /// The next frame that is already whole in the buffer, valid until the
+    /// next call; `Ok(None)` when the buffered bytes end before it does —
+    /// [`fill_once`](Self::fill_once) has to bring more. Never touches the
+    /// stream.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FrameError::TooLarge`] as soon as the four bytes of an
+    /// over-cap length prefix are buffered.
+    pub fn buffered_frame(&mut self) -> Result<Option<&[u8]>, FrameError> {
+        Ok(self.cut()?.map(|payload| &self.buf[payload]))
+    }
+
+    /// One `read` of at most 64 KiB into the buffer, which grows only for
+    /// a frame whose length already passed the cap; for when
+    /// [`buffered_frame`](Self::buffered_frame) said "not yet". Returns the
+    /// byte count; `Ok(0)` is the end of the stream — between frames or
+    /// inside one, which a caller that drops the connection either way need
+    /// not ask.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FrameError::TooLarge`] when the buffered length prefix is
+    /// over the cap (nothing is read for it), or the stream's
+    /// [`io::Error`]; an interrupted `read` is retried. Called with whole
+    /// frames filling the buffer it has no room to read into and says so
+    /// ([`io::ErrorKind::InvalidInput`]) rather than report a false end.
+    pub fn fill_once(&mut self) -> Result<usize, FrameError> {
         if self.start == self.end {
             self.start = 0;
             self.end = 0;
@@ -179,36 +234,11 @@ impl<R: Read> FrameReader<R> {
                 self.buf = vec![0; READ_CHUNK];
             }
         }
-        if !self.fill(4)? {
-            if self.start == self.end {
-                return Ok(None); // clean EOF between frames
-            }
-            return Err(truncated("stream ended inside a frame length prefix"));
-        }
-        let prefix = self.buf[self.start..self.start + 4]
-            .try_into()
-            .expect("fill buffered 4 bytes");
-        let len = u32::from_le_bytes(prefix) as usize;
-        let Some(framed) = len.checked_add(4).filter(|_| len <= self.max) else {
-            return Err(FrameError::TooLarge {
-                len: len as u64,
-                max: self.max,
-            });
-        };
-        if !self.fill(framed)? {
-            return Err(truncated("stream ended inside a frame"));
-        }
-        let body = self.start + 4;
-        self.start = body + len;
-        Ok(Some(&self.buf[body..self.start]))
-    }
-
-    /// Buffers at least `want` unconsumed bytes; `Ok(false)` when the
-    /// stream ends first.
-    fn fill(&mut self, want: usize) -> io::Result<bool> {
-        if self.start + want > self.buf.len() {
-            // Slide the unconsumed tail to the front; grow only for a frame
-            // larger than the whole buffer (its length passed the cap).
+        // Room for the frame being assembled (or its prefix): slide the
+        // unconsumed tail to the front only when it would not fit behind
+        // it, and grow only for a frame larger than the whole buffer.
+        let want = self.framed_len()?.unwrap_or(4);
+        if self.start + want > self.buf.len() || self.end == self.buf.len() {
             self.buf.copy_within(self.start..self.end, 0);
             self.end -= self.start;
             self.start = 0;
@@ -216,15 +246,55 @@ impl<R: Read> FrameReader<R> {
                 self.buf.resize(want, 0);
             }
         }
-        while self.end - self.start < want {
-            match self.inner.read(&mut self.buf[self.end..]) {
-                Ok(0) => return Ok(false),
-                Ok(n) => self.end += n,
+        let room = self.buf.len().min(self.end + READ_CHUNK);
+        if room == self.end {
+            return Err(FrameError::Io(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "buffer full of frames not yet taken",
+            )));
+        }
+        loop {
+            match self.inner.read(&mut self.buf[self.end..room]) {
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(n);
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+                Err(e) => return Err(e.into()),
             }
         }
-        Ok(true)
+    }
+
+    /// Prefix plus payload length of the frame at the head of the buffer,
+    /// once its prefix is buffered; over the cap is an error.
+    fn framed_len(&self) -> Result<Option<usize>, FrameError> {
+        if self.end - self.start < 4 {
+            return Ok(None);
+        }
+        let prefix = self.buf[self.start..self.start + 4]
+            .try_into()
+            .expect("4 bytes are buffered");
+        let len = u32::from_le_bytes(prefix) as usize;
+        match len.checked_add(4) {
+            Some(framed) if len <= self.max => Ok(Some(framed)),
+            _ => Err(FrameError::TooLarge {
+                len: len as u64,
+                max: self.max,
+            }),
+        }
+    }
+
+    /// Consumes the frame at the head of the buffer if all of it is there
+    /// and returns where its payload lies.
+    fn cut(&mut self) -> Result<Option<std::ops::Range<usize>>, FrameError> {
+        match self.framed_len()? {
+            Some(framed) if framed <= self.end - self.start => {
+                let payload = self.start + 4..self.start + framed;
+                self.start = payload.end;
+                Ok(Some(payload))
+            }
+            _ => Ok(None),
+        }
     }
 }
 
@@ -492,6 +562,101 @@ mod tests {
                 other => panic!("cut {cut}: expected Io(UnexpectedEof), got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn taken_apart_the_reader_never_reads_for_a_frame_it_already_has() {
+        /// Counts `read` calls; delivers at most `chunk` bytes per call.
+        struct Counting {
+            data: Cursor<Vec<u8>>,
+            chunk: usize,
+            reads: usize,
+        }
+        impl Read for Counting {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.reads += 1;
+                let n = buf.len().min(self.chunk);
+                self.data.read(&mut buf[..n])
+            }
+        }
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"first", 64).unwrap();
+        write_frame(&mut wire, b"second, cut in two", 64).unwrap();
+        let first_read = 9 + 4 + 6; // all of "first", a prefix, six bytes
+        let mut r = FrameReader::new(
+            Counting {
+                data: Cursor::new(wire),
+                chunk: first_read,
+                reads: 0,
+            },
+            64,
+        );
+        // Nothing buffered: "not yet", without touching the stream.
+        assert!(r.buffered_frame().unwrap().is_none());
+        assert_eq!(r.inner.reads, 0);
+        assert_eq!(r.fill_once().unwrap(), first_read);
+        assert_eq!(r.buffered_frame().unwrap().unwrap(), b"first");
+        // Half of the second frame: "not yet" again, the half is kept.
+        assert!(r.buffered_frame().unwrap().is_none());
+        assert!(r.buffered_frame().unwrap().is_none());
+        assert_eq!(r.inner.reads, 1, "exactly one read per fill_once");
+        assert!(r.fill_once().unwrap() > 0);
+        assert_eq!(r.buffered_frame().unwrap().unwrap(), b"second, cut in two");
+        assert_eq!(r.fill_once().unwrap(), 0, "the end of the stream");
+        assert_eq!(r.inner.reads, 3);
+    }
+
+    #[test]
+    fn one_fill_reads_at_most_a_chunk_however_large_the_frame() {
+        let big = vec![0xA5; 5 * READ_CHUNK];
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &big, DEFAULT_MAX_FRAME).unwrap();
+        let mut r = FrameReader::new(Cursor::new(wire), DEFAULT_MAX_FRAME);
+        let mut fills = 0;
+        while r.buffered_frame().unwrap().is_none() {
+            let n = r.fill_once().unwrap();
+            assert!((1..=READ_CHUNK).contains(&n), "one read took {n} bytes");
+            fills += 1;
+        }
+        assert!(fills >= 5);
+        // An over-cap prefix is refused by either step, and nothing is
+        // read for it.
+        let mut r = FrameReader::new(Cursor::new(u32::MAX.to_le_bytes().to_vec()), 1024);
+        assert_eq!(r.fill_once().unwrap(), 4);
+        assert!(matches!(
+            r.buffered_frame(),
+            Err(FrameError::TooLarge { max: 1024, .. })
+        ));
+        assert!(matches!(
+            r.fill_once(),
+            Err(FrameError::TooLarge { max: 1024, .. })
+        ));
+    }
+
+    #[test]
+    fn a_fill_with_no_room_left_says_so_instead_of_reporting_the_end() {
+        // READ_CHUNK bytes of whole frames nobody took: the buffer is full.
+        let mut wire = Vec::new();
+        while wire.len() < READ_CHUNK {
+            write_frame(&mut wire, &[7; 60], 64).unwrap();
+        }
+        assert_eq!(wire.len(), READ_CHUNK, "64-byte frames fill it exactly");
+        write_frame(&mut wire, b"behind", 64).unwrap();
+        let mut r = FrameReader::new(Cursor::new(wire), 64);
+        assert_eq!(r.fill_once().unwrap(), READ_CHUNK);
+        match r.fill_once() {
+            Err(FrameError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidInput),
+            other => panic!("expected InvalidInput, got {other:?}"),
+        }
+        // Taking one frame makes room; the rest follows.
+        assert_eq!(r.buffered_frame().unwrap().unwrap(), &[7; 60]);
+        assert!(r.fill_once().unwrap() > 0);
+        let mut taken = 1;
+        while let Some(frame) = r.next_frame().unwrap() {
+            taken += 1;
+            assert!(frame == [7; 60] || frame == b"behind");
+        }
+        assert_eq!(taken, READ_CHUNK / 64 + 1);
     }
 
     /// The bit-at-a-time CRC-32 the table-driven one replaced, kept as its

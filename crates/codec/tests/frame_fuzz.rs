@@ -43,11 +43,17 @@ proptest! {
     /// it does yield were actually carried by the stream.
     #[test]
     fn random_streams_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
-        let mut r = FrameReader::new(Cursor::new(bytes), 64);
+        let mut r = FrameReader::new(Cursor::new(bytes.clone()), 64);
         // Clean EOF or a decode error ends the stream; neither may panic.
+        let mut blocking = Vec::new();
         while let Ok(Some(frame)) = r.next_frame() {
             prop_assert!(frame.len() <= 64);
+            blocking.push(frame.to_vec());
         }
+        // Taken apart — one read, then what it completed — the reader cuts
+        // the same frames out of the same bytes.
+        let (split, _) = split_read(&mut FrameReader::new(Cursor::new(bytes), 64));
+        prop_assert_eq!(split, blocking);
     }
 
     /// Write-then-read round-trips any payload within the cap, including
@@ -212,9 +218,19 @@ proptest! {
             prop_assert_eq!(r.next_frame().expect("valid stream").expect("a frame"), &f[..]);
         }
         prop_assert!(r.next_frame().expect("clean EOF").is_none());
+        // The same through the two steps `next_frame` is made of.
+        let (split, end) = split_read(&mut FrameReader::new(chunked(&stream), 96));
+        prop_assert!(end.is_ok(), "{end:?}");
+        prop_assert_eq!(&split, &frames);
 
         let cut = cut_seed % (stream.len() + 1);
         let whole = boundaries.iter().filter(|&&b| b != 0 && b <= cut).count();
+        // A caller of the two steps sees the stream end and has the whole
+        // frames before the cut, no more; it drops the connection either
+        // way, so it is not told whether the end was clean.
+        let (split, end) = split_read(&mut FrameReader::new(chunked(&stream[..cut]), 96));
+        prop_assert!(end.is_ok(), "{end:?}");
+        prop_assert_eq!(&split[..], &frames[..whole]);
         let mut r = FrameReader::new(chunked(&stream[..cut]), 96);
         for f in &frames[..whole] {
             prop_assert_eq!(r.next_frame().expect("before the cut").expect("a frame"), &f[..]);
@@ -244,15 +260,16 @@ proptest! {
         }
         stream.extend_from_slice(&(64 + extra).to_le_bytes());
         stream.extend_from_slice(&[0xEE; 32]);
-        let mut r = FrameReader::new(
-            ChunkedReader {
-                data: stream,
-                pos: 0,
-                rng: proptest::test_runner::TestRng::from_seed(u64::from(extra)),
-                max_chunk,
-            },
-            64,
-        );
+        let chunked = || ChunkedReader {
+            data: stream.clone(),
+            pos: 0,
+            rng: proptest::test_runner::TestRng::from_seed(u64::from(extra)),
+            max_chunk,
+        };
+        let (split, end) = split_read(&mut FrameReader::new(chunked(), 64));
+        prop_assert_eq!(&split, &good);
+        prop_assert!(matches!(end, Err(FrameError::TooLarge { max: 64, .. })), "{end:?}");
+        let mut r = FrameReader::new(chunked(), 64);
         for f in &good {
             prop_assert_eq!(r.next_frame().expect("good frame").expect("a frame"), &f[..]);
         }
@@ -262,6 +279,27 @@ proptest! {
                 prop_assert_eq!(max, 64);
             }
             other => prop_assert!(false, "expected TooLarge, got {other:?}"),
+        }
+    }
+}
+
+/// Reads `r` to its end the way a caller that waits elsewhere does: every
+/// frame already whole in the buffer, then one `fill_once`, and again. The
+/// frames cut, and how it ended (`Ok`: the stream did).
+fn split_read<R: std::io::Read>(r: &mut FrameReader<R>) -> (Vec<Vec<u8>>, Result<(), FrameError>) {
+    let mut frames = Vec::new();
+    loop {
+        loop {
+            match r.buffered_frame() {
+                Ok(Some(frame)) => frames.push(frame.to_vec()),
+                Ok(None) => break,
+                Err(e) => return (frames, Err(e)),
+            }
+        }
+        match r.fill_once() {
+            Ok(0) => return (frames, Ok(())),
+            Ok(_) => {}
+            Err(e) => return (frames, Err(e)),
         }
     }
 }

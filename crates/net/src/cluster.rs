@@ -277,8 +277,8 @@ impl TcpCluster {
 
     /// Takes the [`TupleSpace`](peats::TupleSpace) handle for client slot
     /// `idx`: dials every replica over TCP. The handle starts no thread of
-    /// its own — the connection readers fill its mailbox, and whichever
-    /// invocation is waiting receives from it. Clones of the handle share
+    /// its own — whichever invocation is waiting receives from its mailbox,
+    /// which is what reads the connections. Clones of the handle share
     /// the connections and invoke concurrently.
     ///
     /// # Panics

@@ -8,10 +8,12 @@
 //! over a real network.
 //!
 //! * [`tcp`] — [`TcpTransport`]/[`TcpMailbox`]: length-prefixed frames,
-//!   a reader thread per connection, reconnect with backoff, sends written
-//!   from the calling thread (one bounded `write` per peer per batch) with
-//!   a bounded drop-oldest queue behind every link that is down or
-//!   backlogged;
+//!   read by whichever thread receives from the mailbox (one `poll(2)`
+//!   over the node's listener and connections — no reader threads; a node
+//!   is served while its mailbox is read), reconnect with backoff, sends
+//!   written from the calling thread (one bounded `write` per peer per
+//!   batch) with a bounded drop-oldest queue behind every link that is
+//!   down or backlogged;
 //! * [`cluster`] — [`TcpCluster`]: an in-process loopback harness (every
 //!   replica a thread, every connection a real socket) for tests and
 //!   benchmarks;
@@ -19,6 +21,10 @@
 //!   `peats` CLI and the daemon's configuration;
 //! * the binaries: `peatsd` (one replica of the policy-enforced tuple
 //!   space) and `peats` (a command-line client).
+//!
+//! Unix only: the mailbox waits in `poll(2)` (through `peats-poll`, the
+//! workspace's one crate with `unsafe` code) and is woken through a
+//! `UnixStream` pair.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,53 +3,89 @@
 //!
 //! Wire format: every connection carries length-prefixed frames
 //! ([`peats_codec::frame`]); a frame's payload is the 4-byte LE node id of
-//! the sender followed by the opaque message bytes the layer above
-//! produced (a MAC-sealed envelope — the transport-level sender id is
-//! advisory, authentication happens above). An empty-body frame is a
-//! *hello*: it announces the dialer's id so the acceptor can route replies
-//! back over the same connection before any request arrives.
+//! the sender — one id per connection — followed by the opaque message
+//! bytes the layer above produced (a MAC-sealed envelope — the
+//! transport-level sender id is advisory, authentication happens above).
+//! An empty-body frame is a *hello*: it announces the dialer's id so the
+//! acceptor can route replies back over the same connection before any
+//! request arrives.
 //!
-//! Topology: every endpoint dials its configured peers
-//! (thread-per-connection, automatic reconnect with exponential backoff)
-//! and — when bound — accepts connections from anyone. Accepted
-//! connections register a *reverse link* keyed by the peer's announced id,
-//! which is how replicas reach clients they have no configured address
-//! for: the reply rides the connection the client opened.
+//! Topology: every endpoint dials its configured peers (one thread per
+//! peer, automatic reconnect with exponential backoff) and — when bound —
+//! accepts connections from anyone. Accepted connections register a
+//! *reverse link* keyed by the peer's announced id, which is how replicas
+//! reach clients they have no configured address for: the reply rides the
+//! connection the client opened.
+//!
+//! # Receiving: the mailbox is the reader
+//!
+//! No thread is dedicated to reading. The thread that calls
+//! [`Mailbox::recv_timeout`] or [`Mailbox::try_recv`] — a replica's event
+//! loop, or the client invocation that is waiting — waits in one `poll(2)`
+//! ([`peats_poll`]) over the node's listener, its connections and a
+//! wake-up socket, does one `read` of at most 64 KiB on each connection
+//! the kernel reported, and cuts the complete frames out of that
+//! connection's buffer into the queue it then returns from. A message
+//! therefore wakes one thread, not a reader and then the thread the reader
+//! hands it to. A connection that sent half a frame keeps its half and
+//! holds up nobody; a connection that floods gets one `read` per round
+//! like every other. Before the mailbox sleeps it does what a thread
+//! channel's receiver does (`shims/crossbeam`): it looks again across
+//! `SNOOZE_ROUNDS` (4) rounds of `yield_now` — here a `poll` with a zero
+//! timeout — because the next message of a protocol round is usually a few
+//! microseconds away and a sleep costs more than that. Timeouts round *up*
+//! to `poll`'s millisecond.
+//!
+//! The same pass does what else the read side owes: it accepts pending
+//! connections, registers an accepted peer's reverse link at its hello,
+//! drops a connection that sent a malformed, oversized or truncated frame
+//! or, having been accepted under one sender id, a frame under another
+//! (never a panic, never a stall for the others; a dialed peer is re-dialed,
+//! a hostile accepted peer is simply gone), and marks a dialed link down
+//! when its connection ends, which wakes its dialer at once, so nothing is
+//! written into a dead socket. **All of it happens only while something
+//! reads the mailbox** — see [`Mailbox`]. A replica always does; a client
+//! does inside every invocation, and between invocations its socket
+//! buffers hold what arrives.
+//!
+//! The mailbox is the endpoint's receiving half: dropping it shuts the
+//! endpoint down, like [`TcpTransport::shutdown`].
+//!
+//! # Sending
 //!
 //! A send costs its caller at most one bounded socket write. When the
 //! link to the peer is up and nothing is queued on it, the caller's frames
 //! — a whole event-loop pass of them, through
 //! [`Transport::send_batch`] — are written from the calling thread with
-//! one `write` under the fixed [`WRITE_TIMEOUT`]. A write that fails or
-//! times out tears the connection down, counts its frames as dropped and
-//! hands the link back to its dialer, so a peer that stops draining its
-//! socket costs a correct sender at most one timeout per socket buffer of
-//! traffic. Everything else goes to the link's bounded queue, which sheds
-//! its *oldest* frame when full and is drained by the link's own thread:
-//! frames for a link that is down or backlogged, frames behind injected
-//! latency ([`TcpConfig::send_delay`] — the caller never sleeps), and
-//! bursts over [`DIRECT_MAX`], which an honest slow link may need longer
-//! than one timeout to take. Which path a frame takes is read off the
-//! link's state, never configured. Either way the semantics are those of
-//! [`ThreadNet::send`](peats_netsim::ThreadNet): messages may be dropped;
-//! the protocol layer retransmits. Malformed, oversized, or truncated
-//! frames disconnect the offending connection — never panic, never stall
-//! other connections; a dialed peer is re-dialed (its reader's EOF wakes
-//! the dialer at once, so nothing is written into a dead socket), a
-//! hostile accepted peer is simply gone.
+//! one `write` under the fixed [`WRITE_TIMEOUT`] (sockets stay blocking;
+//! the mailbox reads them only when `poll` says a `read` will not wait). A
+//! write that fails or times out tears the connection down, counts its
+//! frames as dropped and hands the link back to its dialer, so a peer that
+//! stops draining its socket costs a correct sender at most one timeout
+//! per socket buffer of traffic. Everything else goes to the link's
+//! bounded queue, which sheds its *oldest* frame when full and is drained
+//! by the link's own thread: frames for a link that is down or backlogged,
+//! frames behind injected latency ([`TcpConfig::send_delay`] — the caller
+//! never sleeps), and bursts over [`DIRECT_MAX`], which an honest slow
+//! link may need longer than one timeout to take. Which path a frame takes
+//! is read off the link's state, never configured. Either way the
+//! semantics are those of [`ThreadNet::send`](peats_netsim::ThreadNet):
+//! messages may be dropped; the protocol layer retransmits.
 
 use crate::TcpConfig;
 use peats_codec::frame::{append_frame, FrameReader};
 use peats_netsim::{Disconnected, Envelope, Mailbox, NodeId, Transport};
+use peats_poll::PollFd;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// How often blocked link drainers and the accept loop re-check the stop
-/// flag.
+/// How often blocked link drainers re-check the stop flag.
 const STOP_POLL: Duration = Duration::from_millis(50);
 
 /// The socket write timeout of every connection: the longest a
@@ -62,6 +98,17 @@ pub const WRITE_TIMEOUT: Duration = Duration::from_millis(100);
 /// slow link can need longer than [`WRITE_TIMEOUT`], so it is left to the
 /// link's drainer, whose writes are bounded per syscall, not per frame.
 pub const DIRECT_MAX: usize = 64 * 1024;
+
+/// How many times a blocking receive looks again at its sockets, yielding
+/// the processor in between, before it sleeps in `poll`: the count thread
+/// mailboxes use (`SNOOZE_YIELDS` in `shims/crossbeam`, where the curve it
+/// is the knee of is written down).
+const SNOOZE_ROUNDS: u32 = 4;
+
+/// Most connections one pass accepts: a burst of dial-ins cannot keep the
+/// pass from the connections that already have input (the rest stay
+/// pending and make the next `poll` return at once).
+const ACCEPTS_PER_PASS: usize = 16;
 
 /// What a link's drainer thread should do next.
 enum Next {
@@ -193,26 +240,51 @@ impl Link {
         }
     }
 
+    /// Closes the link for good, and its connection with it: the peer sees
+    /// the end of the stream, the local mailbox the end of its read side.
     fn close(&self) {
-        self.state.lock().closed = true;
+        let mut st = self.state.lock();
+        st.closed = true;
+        if let Some(conn) = st.conn.take() {
+            let _ = conn.shutdown(Shutdown::Both);
+        }
         self.cv.notify_all();
+    }
+
+    /// Brings a dialed link up on `conn` unless it was closed meanwhile.
+    fn connect(&self, conn: &Arc<TcpStream>) -> bool {
+        let mut st = self.state.lock();
+        if !st.closed {
+            st.conn = Some(Arc::clone(conn));
+        }
+        !st.closed
     }
 }
 
-/// State shared by every clone of one [`TcpTransport`] and all its
-/// connection threads.
+/// What another thread leaves for the mailbox.
+enum Handoff {
+    /// A message the node sent itself.
+    Envelope(Envelope),
+    /// A connection a dialer just brought up: the mailbox reads what the
+    /// peer sends back on it and reports its end to the link.
+    Dialed(Arc<Link>, Arc<TcpStream>),
+}
+
+/// State shared by every clone of one [`TcpTransport`], its mailbox and its
+/// link threads.
 struct Shared {
     me: NodeId,
     cfg: TcpConfig,
     stop: AtomicBool,
-    inbox_tx: crossbeam::channel::Sender<Envelope>,
     /// Outbound links to configured peers (we dial these; fixed set).
     dial_links: BTreeMap<NodeId, Arc<Link>>,
     /// Reverse links over accepted connections, keyed by announced id.
     accepted: parking_lot::Mutex<BTreeMap<NodeId, Arc<Link>>>,
-    /// Stream clones for shutdown (close them to unblock reader threads).
-    streams: parking_lot::Mutex<BTreeMap<u64, TcpStream>>,
-    next_stream_token: AtomicU64,
+    /// Taken by the mailbox when the wake-up socket says so.
+    handoff: parking_lot::Mutex<Vec<Handoff>>,
+    /// Write end of the mailbox's wake-up socket (non-blocking): a byte
+    /// ends the mailbox's `poll`.
+    wake: UnixStream,
 }
 
 impl Shared {
@@ -220,21 +292,30 @@ impl Shared {
         self.stop.load(Ordering::Relaxed)
     }
 
-    fn register_stream(&self, stream: &TcpStream) -> u64 {
-        let token = self.next_stream_token.fetch_add(1, Ordering::Relaxed);
-        if let Ok(clone) = stream.try_clone() {
-            self.streams.lock().insert(token, clone);
-        }
-        // If we raced a shutdown, close immediately so no thread blocks on
-        // a stream the shutdown sweep never saw.
-        if self.stopping() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        token
+    /// Ends the mailbox's wait, now or the next time it waits. A socket
+    /// too full to take the byte holds unread wake-ups already.
+    fn wake(&self) {
+        let _ = (&self.wake).write(&[1]);
     }
 
-    fn unregister_stream(&self, token: u64) {
-        self.streams.lock().remove(&token);
+    /// Leaves `items` for the mailbox. Every push is followed by a wake-up,
+    /// and the mailbox empties the socket before it takes the items, so
+    /// none is left behind.
+    fn hand(&self, items: impl IntoIterator<Item = Handoff>) {
+        self.handoff.lock().extend(items);
+        self.wake();
+    }
+
+    /// See [`TcpTransport::shutdown`].
+    fn shutdown(&self) {
+        self.stop.store(true, Ordering::Relaxed);
+        for link in self.dial_links.values() {
+            link.close();
+        }
+        for link in self.accepted.lock().values() {
+            link.close();
+        }
+        self.wake();
     }
 
     /// Sends `payloads` to `to`, in order: one `write` from this thread when
@@ -245,9 +326,8 @@ impl Shared {
         }
         if to == self.me {
             // Loopback: straight into the local mailbox.
-            for payload in payloads {
-                let _ = self.inbox_tx.send((self.me, payload));
-            }
+            let me = self.me;
+            self.hand(payloads.into_iter().map(|p| Handoff::Envelope((me, p))));
             return;
         }
         // A configured peer's dial link, else the reverse link of a
@@ -309,10 +389,13 @@ pub struct TcpTransport {
     shared: Arc<Shared>,
 }
 
-/// The receiving half of a [`TcpTransport`] endpoint.
+/// The receiving half of a [`TcpTransport`] endpoint, and the only reader
+/// of its sockets (module docs). Dropping it shuts the endpoint down.
 pub struct TcpMailbox {
-    id: NodeId,
-    rx: crossbeam::channel::Receiver<Envelope>,
+    shared: Arc<Shared>,
+    /// One thread at a time receives ([`Mailbox`]); the trait's methods
+    /// take `&self`.
+    reader: RefCell<Reader>,
 }
 
 impl TcpTransport {
@@ -342,31 +425,45 @@ impl TcpTransport {
     ///
     /// # Errors
     ///
-    /// Returns the error from inspecting or configuring the listener.
+    /// Returns the error from inspecting or configuring the listener, or
+    /// from creating the mailbox's wake-up socket.
     pub fn from_listener(
         me: NodeId,
         listener: TcpListener,
         peers: BTreeMap<NodeId, SocketAddr>,
         cfg: TcpConfig,
     ) -> std::io::Result<(TcpTransport, TcpMailbox)> {
+        // `poll` can report a connection that is gone by the time it is
+        // accepted; the mailbox's thread must not wait for the next one.
         listener.set_nonblocking(true)?;
-        let (transport, mailbox) = Self::connect(me, peers, cfg);
-        {
-            let shared = Arc::clone(&transport.shared);
-            std::thread::spawn(move || accept_loop(shared, listener));
-        }
-        Ok((transport, mailbox))
+        Self::start(me, Some(listener), peers, cfg)
     }
 
     /// A dial-only endpoint: connects to `peers` but accepts nothing.
     /// Clients use this — replies arrive over the connections the client
     /// itself opened (the replicas' reverse links).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the process cannot open the mailbox's wake-up socket pair
+    /// (out of descriptors before the first connection).
     pub fn connect(
         me: NodeId,
         peers: BTreeMap<NodeId, SocketAddr>,
         cfg: TcpConfig,
     ) -> (TcpTransport, TcpMailbox) {
-        let (inbox_tx, inbox_rx) = crossbeam::channel::unbounded();
+        Self::start(me, None, peers, cfg).expect("a socket pair for the mailbox's wake-ups")
+    }
+
+    fn start(
+        me: NodeId,
+        listener: Option<TcpListener>,
+        peers: BTreeMap<NodeId, SocketAddr>,
+        cfg: TcpConfig,
+    ) -> std::io::Result<(TcpTransport, TcpMailbox)> {
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
         let dial_links: BTreeMap<NodeId, Arc<Link>> = peers
             .keys()
             .filter(|&&id| id != me)
@@ -376,11 +473,10 @@ impl TcpTransport {
             me,
             cfg,
             stop: AtomicBool::new(false),
-            inbox_tx,
             dial_links,
             accepted: parking_lot::Mutex::new(BTreeMap::new()),
-            streams: parking_lot::Mutex::new(BTreeMap::new()),
-            next_stream_token: AtomicU64::new(0),
+            handoff: parking_lot::Mutex::new(Vec::new()),
+            wake: wake_tx,
         });
         for (&id, link) in &shared.dial_links {
             let addr = peers[&id];
@@ -388,13 +484,17 @@ impl TcpTransport {
             let link = Arc::clone(link);
             std::thread::spawn(move || dial_loop(shared, addr, link));
         }
-        (
-            TcpTransport { shared },
-            TcpMailbox {
-                id: me,
-                rx: inbox_rx,
-            },
-        )
+        let mailbox = TcpMailbox {
+            shared: Arc::clone(&shared),
+            reader: RefCell::new(Reader {
+                wake: wake_rx,
+                listener,
+                conns: Vec::new(),
+                fds: Vec::new(),
+                ready: VecDeque::new(),
+            }),
+        };
+        Ok((TcpTransport { shared }, mailbox))
     }
 
     /// This endpoint's node id.
@@ -422,21 +522,14 @@ impl TcpTransport {
         dial + accepted
     }
 
-    /// Stops every connection thread: closes all links, shuts down all
-    /// streams (unblocking readers), and stops the accept and dial loops.
-    /// Queued-but-unsent frames are dropped (asynchronous model). Safe to
-    /// call more than once.
+    /// Shuts the endpoint down: closes every link and with it its
+    /// connection, so peers see the end of the stream at once; stops the
+    /// dialers and drainers; and wakes the mailbox, which closes the
+    /// connections that never said hello, stops listening, and reports
+    /// [`Disconnected`] from then on. Queued-but-unsent frames are dropped
+    /// (asynchronous model). Safe to call more than once.
     pub fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
-        for link in self.shared.dial_links.values() {
-            link.close();
-        }
-        for link in self.shared.accepted.lock().values() {
-            link.close();
-        }
-        for stream in self.shared.streams.lock().values() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
+        self.shared.shutdown();
     }
 }
 
@@ -481,62 +574,275 @@ impl std::fmt::Debug for TcpTransport {
 impl TcpMailbox {
     /// This mailbox's node identity.
     pub fn id(&self) -> NodeId {
-        self.id
+        self.shared.me
+    }
+
+    /// The next message, waiting for it until `deadline` (`None`: for as
+    /// long as it takes): first what is already cut, then the sockets —
+    /// looked at at least once, however short the wait.
+    fn next(&self, deadline: Option<Instant>) -> Result<Option<Envelope>, Disconnected> {
+        let mut reader = self.reader.borrow_mut();
+        let mut looks_left = SNOOZE_ROUNDS;
+        let mut timed_out = false;
+        loop {
+            if let Some(envelope) = reader.ready.pop_front() {
+                return Ok(Some(envelope));
+            }
+            if self.shared.stopping() {
+                reader.close(&self.shared);
+                return Err(Disconnected);
+            }
+            if timed_out {
+                return Ok(None);
+            }
+            let left = match deadline {
+                Some(deadline) => deadline.saturating_duration_since(Instant::now()),
+                None => Duration::MAX,
+            };
+            // The deadline is checked every round, whatever the round
+            // found: input that completes no message (a slow large frame,
+            // a stream of hellos) cannot keep the caller past it.
+            timed_out = left.is_zero();
+            if timed_out || looks_left > 0 {
+                looks_left = looks_left.saturating_sub(1);
+                if !reader.pass(&self.shared, Duration::ZERO) && !timed_out {
+                    std::thread::yield_now();
+                }
+            } else {
+                reader.pass(&self.shared, left);
+            }
+        }
     }
 }
 
 impl Mailbox for TcpMailbox {
     fn id(&self) -> NodeId {
-        self.id
+        self.shared.me
     }
 
     fn recv(&self) -> Option<Envelope> {
-        self.rx.recv().ok()
+        self.next(None).ok().flatten()
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<Envelope>, Disconnected> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(env) => Ok(Some(env)),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Ok(None),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => Err(Disconnected),
-        }
+        self.next(Some(Instant::now() + timeout))
     }
 
     fn try_recv(&self) -> Option<Envelope> {
-        self.rx.try_recv().ok()
+        let mut reader = self.reader.borrow_mut();
+        if reader.ready.is_empty() && !self.shared.stopping() {
+            reader.pass(&self.shared, Duration::ZERO);
+        }
+        reader.ready.pop_front()
+    }
+}
+
+impl Drop for TcpMailbox {
+    fn drop(&mut self) {
+        self.shared.shutdown();
+        self.reader.get_mut().close(&self.shared);
     }
 }
 
 impl std::fmt::Debug for TcpMailbox {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpMailbox").field("id", &self.id).finish()
+        f.debug_struct("TcpMailbox")
+            .field("id", &self.shared.me)
+            .finish()
     }
 }
 
-/// Accepts connections until stop; one reader thread per connection.
-fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
-    loop {
-        if shared.stopping() {
-            return;
+/// The mailbox's side of the sockets: everything one `poll` watches, and
+/// the messages cut out of what it read.
+struct Reader {
+    /// Read end of the wake-up socket (non-blocking).
+    wake: UnixStream,
+    listener: Option<TcpListener>,
+    conns: Vec<Conn>,
+    /// The poll set, rebuilt every pass: the wake-up socket, the listener,
+    /// then `conns` in order.
+    fds: Vec<PollFd>,
+    /// Complete messages not yet received, oldest first.
+    ready: VecDeque<Envelope>,
+}
+
+impl Reader {
+    /// One round: waits up to `timeout` for input, then serves every
+    /// descriptor that has some — one `read` per connection, pending
+    /// accepts, what other threads handed over. `false` when nothing
+    /// happened in time.
+    fn pass(&mut self, shared: &Arc<Shared>, timeout: Duration) -> bool {
+        self.fds.clear();
+        self.fds.push(PollFd::readable(&self.wake));
+        self.fds.extend(self.listener.iter().map(PollFd::readable));
+        let first_conn = self.fds.len();
+        let streams = self.conns.iter().map(|conn| &*conn.stream);
+        self.fds.extend(streams.map(PollFd::readable));
+        match peats_poll::wait(&mut self.fds, timeout) {
+            Ok(0) => return false,
+            Ok(_) => {}
+            Err(_) => {
+                // Nothing a retry at once would fix (the kernel is out of
+                // memory for the call): do not spin on it.
+                std::thread::sleep(timeout.min(STOP_POLL));
+                return false;
+            }
         }
+        // Connections first, while their indices are still the poll set's
+        // (last to first: removing one moves only a connection already
+        // served).
+        for i in (0..self.conns.len()).rev() {
+            if self.fds[first_conn + i].is_ready()
+                && !self.conns[i].read_once(shared, &mut self.ready)
+            {
+                self.conns.swap_remove(i).close(shared);
+            }
+        }
+        if let Some(listener) = &self.listener {
+            if self.fds[1].is_ready() {
+                accept_pending(listener, &mut self.conns, shared);
+            }
+        }
+        if self.fds[0].is_ready() {
+            // Empty the socket, then take what was handed over: whoever
+            // hands over next writes a fresh byte.
+            let mut sink = [0; 64];
+            while matches!((&self.wake).read(&mut sink), Ok(n) if n == sink.len()) {}
+            for item in std::mem::take(&mut *shared.handoff.lock()) {
+                match item {
+                    Handoff::Envelope(envelope) => self.ready.push_back(envelope),
+                    Handoff::Dialed(link, stream) => {
+                        self.conns
+                            .push(Conn::new(stream, Role::Dialed(link), shared));
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    /// Closes every connection and stops listening.
+    fn close(&mut self, shared: &Arc<Shared>) {
+        for conn in self.conns.drain(..) {
+            conn.close(shared);
+        }
+        self.listener = None;
+    }
+}
+
+/// Accepts what `listener` has pending into `conns`; the connections are
+/// read from the next round on.
+fn accept_pending(listener: &TcpListener, conns: &mut Vec<Conn>, shared: &Arc<Shared>) {
+    use std::io::ErrorKind::{ConnectionAborted, Interrupted, WouldBlock};
+    for _ in 0..ACCEPTS_PER_PASS {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                if stream.set_nonblocking(false).is_err() || !prepare(&stream) {
-                    continue;
+                // Accepted connections register reverse links: the peer's
+                // id comes with its frames.
+                if stream.set_nonblocking(false).is_ok() && prepare(&stream) {
+                    conns.push(Conn::new(Arc::new(stream), Role::Accepted(None), shared));
                 }
-                let shared = Arc::clone(&shared);
-                // Accepted connections register reverse links: the reader
-                // learns the peer's id from its frames and wires a link
-                // over this same stream.
-                std::thread::spawn(move || reader_loop(shared, stream, Role::Accepted));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(STOP_POLL.min(Duration::from_millis(20)));
-            }
+            Err(e) if e.kind() == WouldBlock => return,
+            // The connection was gone before it was accepted: on to the
+            // next.
+            Err(e) if matches!(e.kind(), ConnectionAborted | Interrupted) => {}
             Err(_) => {
-                // Transient accept failure (EMFILE, aborted handshake...):
-                // back off briefly and keep accepting.
-                std::thread::sleep(STOP_POLL);
+                // Out of descriptors, most likely: the pending connection
+                // stays pending and `poll` keeps reporting it, so pause
+                // rather than spin until one is free.
+                std::thread::sleep(Duration::from_millis(1));
+                return;
+            }
+        }
+    }
+}
+
+/// The read half of a connection whose write half a [`Link`] shares.
+struct ReadHalf(Arc<TcpStream>);
+
+impl Read for ReadHalf {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        (&*self.0).read(buf)
+    }
+}
+
+/// Which end of a connection the mailbox reads.
+enum Role {
+    /// The peer dialed us: its first frame registers a reverse link (held
+    /// here with the id it announced) whose writers share this stream.
+    Accepted(Option<(NodeId, Arc<Link>)>),
+    /// We dialed: the write half already belongs to this link (a reverse
+    /// link here would put two writers on one stream and tear frames), and
+    /// the link goes down the moment the mailbox sees the connection end.
+    Dialed(Arc<Link>),
+}
+
+/// One connection as the mailbox sees it.
+struct Conn {
+    stream: Arc<TcpStream>,
+    frames: FrameReader<ReadHalf>,
+    role: Role,
+}
+
+impl Conn {
+    fn new(stream: Arc<TcpStream>, role: Role, shared: &Arc<Shared>) -> Conn {
+        Conn {
+            frames: FrameReader::new(ReadHalf(Arc::clone(&stream)), shared.cfg.max_frame),
+            stream,
+            role,
+        }
+    }
+
+    /// One `read`, then every frame it completed into `ready`. `false`
+    /// when the connection is done for: a clean EOF, an oversized length
+    /// claim (hostile), a frame with no room for a sender id, an accepted
+    /// connection's frame under another id than its first, or a stream
+    /// error (including an end inside a frame).
+    fn read_once(&mut self, shared: &Arc<Shared>, ready: &mut VecDeque<Envelope>) -> bool {
+        if !matches!(self.frames.fill_once(), Ok(n) if n > 0) {
+            return false;
+        }
+        loop {
+            let frame = match self.frames.buffered_frame() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => return true,
+                Err(_) => return false,
+            };
+            if frame.len() < 4 {
+                return false;
+            }
+            let (id, body) = frame.split_at(4);
+            let from = NodeId::from_le_bytes(id.try_into().expect("split at 4"));
+            if let Role::Accepted(reverse) = &mut self.role {
+                match reverse {
+                    None => {
+                        let link = register_reverse_link(shared, &self.stream, from);
+                        *reverse = Some((from, link));
+                    }
+                    // One connection, one peer: a second id is malformed.
+                    Some((announced, _)) if *announced != from => return false,
+                    Some(_) => {}
+                }
+            }
+            // A 4-byte frame is a hello: registration only, nothing to
+            // deliver.
+            if !body.is_empty() {
+                ready.push_back((from, body.to_vec()));
+            }
+        }
+    }
+
+    /// Closes the connection. Dialed peers get re-dialed by their dial
+    /// loop; accepted peers must dial back in.
+    fn close(self, shared: &Arc<Shared>) {
+        match self.role {
+            Role::Dialed(link) => link.disconnect(&self.stream),
+            Role::Accepted(reverse) => {
+                if let Some(reverse) = reverse {
+                    retire_reverse_link(shared, reverse);
+                }
+                let _ = self.stream.shutdown(Shutdown::Both);
             }
         }
     }
@@ -562,88 +868,37 @@ fn write_once(mut conn: &TcpStream, burst: &[u8]) -> bool {
     }
 }
 
-/// Which end of a connection a reader serves.
-enum Role {
-    /// The peer dialed us: its first frame registers a reverse link whose
-    /// writers share this stream.
-    Accepted,
-    /// We dialed: the write half already belongs to this link (a reverse
-    /// link here would put two writers on one stream and tear frames), and
-    /// the link goes down the moment this reader sees the connection end.
-    Dialed(Arc<Link>, Arc<TcpStream>),
-}
-
-/// Reads frames off one connection into the inbox until EOF, a malformed
-/// frame, stream error, or shutdown.
-fn reader_loop(shared: Arc<Shared>, stream: TcpStream, role: Role) {
-    let token = shared.register_stream(&stream);
-    let mut reverse: Option<(NodeId, Arc<Link>)> = None;
-    let mut frames = FrameReader::new(&stream, shared.cfg.max_frame);
-    // A clean EOF, oversized length claim (hostile), or stream error
-    // (including truncation mid-frame) falls out of the `while let` and
-    // disconnects this connection. Dialed peers get re-dialed by their
-    // dial loop; accepted peers must dial back in.
-    while let Ok(Some(frame)) = frames.next_frame() {
-        if frame.len() < 4 {
-            // Malformed: no room for the sender id. Drop the connection;
-            // never panic.
-            break;
-        }
-        let (id, body) = frame.split_at(4);
-        let from = NodeId::from_le_bytes(id.try_into().expect("split at 4"));
-        if matches!(role, Role::Accepted) && reverse.as_ref().map(|(id, _)| *id) != Some(from) {
-            match register_reverse_link(&shared, &stream, from) {
-                Some(link) => reverse = Some((from, link)),
-                None => break, // stream unusable for writing
-            }
-        }
-        // A 4-byte frame is a hello: registration only, nothing to deliver.
-        if !body.is_empty() && shared.inbox_tx.send((from, body.to_vec())).is_err() {
-            break; // mailbox gone: endpoint is shutting down
-        }
-    }
-    if let Role::Dialed(link, conn) = &role {
-        link.disconnect(conn);
-    }
-    if let Some((id, link)) = reverse {
-        link.close();
-        let mut accepted = shared.accepted.lock();
-        // Only deregister if the map still points at *this* connection's
-        // link — the peer may have reconnected and replaced it already.
-        if accepted.get(&id).is_some_and(|l| Arc::ptr_eq(l, &link)) {
-            accepted.remove(&id);
-        }
-    }
-    let _ = stream.shutdown(Shutdown::Both);
-    shared.unregister_stream(token);
-}
-
 /// Wires a reverse link for an accepted connection: a link that is up from
-/// the start, plus a drainer thread, both over a clone of the stream.
-fn register_reverse_link(
-    shared: &Arc<Shared>,
-    stream: &TcpStream,
-    peer: NodeId,
-) -> Option<Arc<Link>> {
-    let conn = Arc::new(stream.try_clone().ok()?);
-    let link = Link::new(Some(Arc::clone(&conn)));
+/// the start, plus a drainer thread, both sharing the stream the mailbox
+/// reads.
+fn register_reverse_link(shared: &Arc<Shared>, conn: &Arc<TcpStream>, peer: NodeId) -> Arc<Link> {
+    let link = Link::new(Some(Arc::clone(conn)));
     if let Some(old) = shared.accepted.lock().insert(peer, Arc::clone(&link)) {
-        // The peer reconnected; the old connection's drainer winds down.
+        // The peer reconnected; the old connection winds down.
         old.close();
     }
     {
         let shared = Arc::clone(shared);
-        let link = Arc::clone(&link);
+        let (link, conn) = (Arc::clone(&link), Arc::clone(conn));
         std::thread::spawn(move || {
-            let token = shared.register_stream(&conn);
             // No reconnect here: the *peer* owns reconnection, so however
             // the drain ends, the link is done.
             drain(&shared, &link, &conn);
             link.close();
-            shared.unregister_stream(token);
         });
     }
-    Some(link)
+    link
+}
+
+/// Closes a reverse link whose connection ended and deregisters it —
+/// unless the map already points at another connection's link: the peer
+/// may have reconnected and replaced it.
+fn retire_reverse_link(shared: &Shared, (peer, link): (NodeId, Arc<Link>)) {
+    link.close();
+    let mut accepted = shared.accepted.lock();
+    if accepted.get(&peer).is_some_and(|l| Arc::ptr_eq(l, &link)) {
+        accepted.remove(&peer);
+    }
 }
 
 /// Writes `link`'s queued frames to `conn` until the connection stops
@@ -677,15 +932,15 @@ fn drain(shared: &Shared, link: &Link, conn: &Arc<TcpStream>) -> bool {
 
 /// Owns the outbound connection to one configured peer: connect (with
 /// exponential backoff), announce ourselves with a hello frame, bring the
-/// link up, spawn a reader for whatever the peer sends back on this
-/// connection, then drain the link's queue; when the connection goes down
-/// — a failed write from any thread, or the reader seeing it end —
-/// reconnect and keep going.
+/// link up, hand the connection to the mailbox — which reads whatever the
+/// peer sends back on it — then drain the link's queue; when the
+/// connection goes down — a failed write from any thread, or the mailbox
+/// seeing it end — reconnect and keep going.
 fn dial_loop(shared: Arc<Shared>, addr: SocketAddr, link: Arc<Link>) {
     let mut backoff = shared.cfg.reconnect_min;
     while !shared.stopping() {
-        let stream = match TcpStream::connect_timeout(&addr, shared.cfg.connect_timeout) {
-            Ok(s) if prepare(&s) => s,
+        let conn = match TcpStream::connect_timeout(&addr, shared.cfg.connect_timeout) {
+            Ok(s) if prepare(&s) => Arc::new(s),
             _ => {
                 shared.interruptible_sleep(backoff);
                 backoff = (backoff * 2).min(shared.cfg.reconnect_max);
@@ -693,29 +948,23 @@ fn dial_loop(shared: Arc<Shared>, addr: SocketAddr, link: Arc<Link>) {
             }
         };
         backoff = shared.cfg.reconnect_min;
-        let token = shared.register_stream(&stream);
-        let read_half = stream.try_clone();
-        let conn = Arc::new(stream);
         // Hello: announce our id so the acceptor can route to us before we
         // send any real traffic. Nobody else can write yet — the link is
         // still down.
         let mut hello = Vec::new();
         append_frame(&mut hello, &shared.me.to_le_bytes(), &[], 4)
             .expect("4 bytes under a cap of 4");
-        let mut stopped = false;
         if (&*conn).write_all(&hello).is_ok() {
-            link.state.lock().conn = Some(Arc::clone(&conn));
-            if let Ok(read_half) = read_half {
-                let shared = Arc::clone(&shared);
-                let role = Role::Dialed(Arc::clone(&link), Arc::clone(&conn));
-                // The peer's replies can ride this connection.
-                std::thread::spawn(move || reader_loop(shared, read_half, role));
+            if !link.connect(&conn) {
+                // Closed while dialing: the shutdown sweep never saw this
+                // connection.
+                let _ = conn.shutdown(Shutdown::Both);
+                return;
             }
-            stopped = drain(&shared, &link, &conn);
-        }
-        shared.unregister_stream(token);
-        if stopped {
-            return;
+            shared.hand([Handoff::Dialed(Arc::clone(&link), Arc::clone(&conn))]);
+            if drain(&shared, &link, &conn) {
+                return;
+            }
         }
         // A peer that accepts and hangs up at once must not turn this into
         // a busy loop.

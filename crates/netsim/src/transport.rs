@@ -41,6 +41,19 @@ impl std::error::Error for Disconnected {}
 /// Exactly one mailbox exists per node, read by one thread at a time: the
 /// node's event loop (`replica_main`), or whichever invocation of a client
 /// handle is waiting for a reply.
+///
+/// **A node takes part in its transport only while its mailbox is being
+/// read.** A transport may do all of its receive-side work inside these
+/// three methods, on the caller's thread — `peats-net`'s `TcpMailbox` does:
+/// that is where it reads its sockets, accepts connections, learns which
+/// peer an inbound connection belongs to (so that sends to that peer start
+/// to work) and notices that a connection closed (so that it is re-dialed).
+/// A node whose mailbox nobody reads receives nothing, answers no inbound
+/// peer and keeps writing into connections that are gone until a write
+/// fails; what was sent to it meanwhile waits, in the transport's buffers
+/// or the kernel's, for the next read. A replica reads all the time; a
+/// client reads inside every invocation, which is the only time it expects
+/// anything. Sending never needs a reader.
 pub trait Mailbox: Send {
     /// This mailbox's node identity.
     fn id(&self) -> NodeId;
