@@ -4,9 +4,7 @@
 //! over 64 channels (the shared [`space_workload`]), comparing the indexed
 //! `SequentialSpace` with the `ScanSpace` reference oracle the index
 //! replaced. `inp` re-inserts the removed tuple so the space size stays
-//! constant across iterations. The machine-readable counterpart of this
-//! bench (sweeping sizes 10²–10⁵) is the `bench_space` binary, which emits
-//! `BENCH_space.json`.
+//! constant across iterations.
 //!
 //! `local_cas_inp_owner` times one policy-checked `cas` + `inp` pair on
 //! `LocalPeats` under the benchmark's `owner.peats` policy, whose `cas`

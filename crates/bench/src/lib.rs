@@ -7,7 +7,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod contention;
 pub mod space_workload;
 
 /// Prints a markdown-style table: a header row and aligned value rows.

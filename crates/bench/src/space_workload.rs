@@ -1,9 +1,7 @@
-//! The shared storage-engine workload measured by the `space_ops` criterion
-//! bench and the `bench_space` baseline emitter.
-//!
-//! Both targets must measure the *same* tuples and templates for the
-//! criterion numbers and `BENCH_space.json` to stay comparable, so the
-//! workload constructors live here rather than in either target.
+//! The storage-engine workload measured by the `space_ops` criterion
+//! bench: the same tuples and templates loaded into the indexed
+//! `SequentialSpace` and the `ScanSpace` reference oracle, so the two
+//! engines are timed on identical contents.
 
 use peats_tuplespace::{Field, ScanSpace, SequentialSpace, Template, Tuple, Value};
 

@@ -127,7 +127,6 @@ fn run(args: Vec<String>) -> Result<i32, String> {
             })
             << 20
             | u64::from(std::process::id() & 0xF_FFFF),
-        ..ClientConfig::default()
     };
 
     let (op, first, second) = match flags.positional() {

@@ -61,7 +61,7 @@ Policy:
 Protocol tuning:
   --batch-cap N                max requests per PrePrepare batch
   --max-in-flight N            max assigned-but-unexecuted slots
-  --checkpoint-interval N      checkpoint every N slots (0 disables)
+  --checkpoint-interval N      checkpoint every N slots (N >= 1)
   --progress-period-ms MS      view-change progress check period
   --send-delay-ms MS           inject MS of latency before every frame
   --bind-patience-ms MS        keep retrying a busy listen address for MS
@@ -181,6 +181,9 @@ fn run(args: Vec<String>) -> Result<(), String> {
         checkpoint_interval: flags.parse_or("checkpoint-interval", defaults.checkpoint_interval)?,
         ..defaults
     };
+    if cfg.checkpoint_interval == 0 {
+        return Err("--checkpoint-interval must be at least 1".to_owned());
+    }
     let progress_period = Duration::from_millis(flags.parse_or("progress-period-ms", 300u64)?);
     let tcp = TcpConfig {
         send_delay: Duration::from_millis(flags.parse_or("send-delay-ms", 0u64)?),

@@ -21,8 +21,8 @@ use crate::{TcpConfig, TcpTransport};
 use peats_auth::KeyTable;
 use peats_netsim::NodeId;
 use peats_policy::{Policy, PolicyError, PolicyParams};
-use peats_replication::replica::{Replica, ReplicaConfig, ReplicaFootprint};
-use peats_replication::{replica_main, ClusterConfig, DurableStore, PeatsService, ReplicatedPeats};
+use peats_replication::replica::{Replica, ReplicaFootprint};
+use peats_replication::{replica_main, ClusterConfig, ReplicatedPeats};
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -137,32 +137,9 @@ impl TcpCluster {
     }
 
     fn fresh_replica(&self, id: usize) -> Result<Replica, PolicyError> {
-        let service = PeatsService::new(self.policy.clone(), self.params.clone())?;
-        let mut replica = Replica::new(
-            ReplicaConfig {
-                batch_cap: self.config.cluster.batch_cap,
-                max_in_flight: self.config.cluster.max_in_flight,
-                checkpoint_interval: self.config.cluster.checkpoint_interval,
-                ..ReplicaConfig::new(id as u32, self.n_replicas, self.f)
-            },
-            service,
-            self.registry.clone(),
-        );
-        // Durable mode: recover from `data_dir/replica-<id>` and keep
-        // write-ahead-logging there. Disk trouble degrades to memory-only
-        // (same policy as the wal module), never wedges the harness.
-        if let Some(root) = &self.config.cluster.data_dir {
-            match DurableStore::open(
-                &root.join(format!("replica-{id}")),
-                self.config.cluster.durable,
-            ) {
-                Ok((store, recovery)) => {
-                    replica.restore_durable(store, recovery);
-                }
-                Err(e) => eprintln!("replica {id}: disk unavailable ({e}); running memory-only"),
-            }
-        }
-        Ok(replica)
+        self.config
+            .cluster
+            .build_replica(id, self.f, &self.policy, &self.params, &self.registry)
     }
 
     fn spawn_replica(

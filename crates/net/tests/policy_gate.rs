@@ -41,6 +41,31 @@ fn peatsd_refuses_a_statically_broken_policy_at_startup() {
 }
 
 #[test]
+fn peatsd_refuses_a_zero_checkpoint_interval() {
+    // Same f=0 startup as above; the interval is checked before the
+    // daemon binds, whether it comes from the flag or the environment.
+    let flag = ["--checkpoint-interval", "0"];
+    let env = [("PEATSD_CHECKPOINT_INTERVAL", "0")];
+    for (args, vars) in [(&flag[..], &[][..]), (&[][..], &env[..])] {
+        let out = Command::new(env!("CARGO_BIN_EXE_peatsd"))
+            .args(["--id", "0", "--f", "0", "--listen", "127.0.0.1:0"])
+            .args(args)
+            .envs(vars.iter().copied())
+            .output()
+            .expect("spawn peatsd");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success(),
+            "peatsd started with a zero checkpoint interval:\n{stderr}"
+        );
+        assert!(
+            stderr.contains("--checkpoint-interval"),
+            "stderr should name the flag:\n{stderr}"
+        );
+    }
+}
+
+#[test]
 fn peatsd_accepts_a_clean_policy_file() {
     // Same daemon, same gate, clean policy: the failure must now be the
     // *next* startup step (missing --param n/t), proving the analysis gate

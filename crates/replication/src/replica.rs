@@ -169,10 +169,8 @@ pub struct ReplicaConfig {
     /// backpressure: light load keeps single-request latency, heavy load
     /// amortizes the three-phase round over the whole backlog.
     pub max_in_flight: usize,
-    /// Broadcast a `Checkpoint` every this many executed slots; `0`
-    /// disables checkpointing (and with it garbage collection and snapshot
-    /// state transfer — logs then grow with the run, the pre-checkpoint
-    /// behavior kept for benchmark comparison).
+    /// Broadcast a `Checkpoint` every this many executed slots (at least
+    /// 1; see [`Replica::new`]).
     pub checkpoint_interval: Seq,
 }
 
@@ -186,17 +184,6 @@ impl ReplicaConfig {
             batch_cap: DEFAULT_BATCH_CAP,
             max_in_flight: DEFAULT_MAX_IN_FLIGHT,
             checkpoint_interval: DEFAULT_CHECKPOINT_INTERVAL,
-        }
-    }
-
-    /// The pre-batching behavior — every request gets its own slot the
-    /// moment it arrives (batch of one, unbounded window). The benchmark
-    /// baseline.
-    pub fn one_slot_per_request(id: ReplicaId, n: usize, f: usize) -> Self {
-        ReplicaConfig {
-            batch_cap: 1,
-            max_in_flight: usize::MAX,
-            ..ReplicaConfig::new(id, n, f)
         }
     }
 
@@ -291,11 +278,20 @@ pub struct Replica {
 
 impl Replica {
     /// Creates a replica around its service copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.checkpoint_interval` is 0: checkpoints are what
+    /// garbage-collect the log and drive snapshot state transfer.
     pub fn new(
         cfg: ReplicaConfig,
         service: PeatsService,
         client_registry: BTreeMap<u64, u64>,
     ) -> Self {
+        assert!(
+            cfg.checkpoint_interval > 0,
+            "checkpoint_interval must be at least 1"
+        );
         Replica {
             cfg,
             view: 0,
@@ -1043,7 +1039,7 @@ impl Replica {
             }
             // Checkpoint boundary: attest the post-execution state and try
             // to stabilize (our vote may be the 2f+1st).
-            if self.cfg.checkpoint_interval > 0 && next % self.cfg.checkpoint_interval == 0 {
+            if next % self.cfg.checkpoint_interval == 0 {
                 self.emit_checkpoint(next, out);
             }
         }
@@ -1144,8 +1140,7 @@ impl Replica {
     /// bound — a replica that fell far behind must still learn of stable
     /// checkpoints arbitrarily past its own window.)
     fn checkpoint_seq_plausible(&self, seq: Seq) -> bool {
-        let interval = self.cfg.checkpoint_interval;
-        interval > 0 && seq > self.stable_seq && seq % interval == 0
+        seq > self.stable_seq && seq % self.cfg.checkpoint_interval == 0
     }
 
     /// Stores `replica`'s checkpoint attestation, superseding its older
@@ -2205,12 +2200,16 @@ mod tests {
     }
 
     #[test]
-    fn unbatched_config_assigns_one_slot_per_request() {
+    fn batch_cap_of_one_assigns_a_slot_per_request() {
         let mut p = {
             let service = PeatsService::new(Policy::allow_all(), PolicyParams::new()).unwrap();
             let registry = [(CLIENT_NODE, CLIENT_PID)].into_iter().collect();
             Replica::new(
-                ReplicaConfig::one_slot_per_request(0, 4, 1),
+                ReplicaConfig {
+                    batch_cap: 1,
+                    max_in_flight: usize::MAX,
+                    ..ReplicaConfig::new(0, 4, 1)
+                },
                 service,
                 registry,
             )
@@ -2219,6 +2218,20 @@ mod tests {
             let out = p.on_message(CLIENT_NODE, Message::Request(req(i)));
             assert_eq!(pre_prepares(&out), vec![(i, vec![req(i)])]);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint_interval must be at least 1")]
+    fn zero_checkpoint_interval_is_refused() {
+        let service = PeatsService::new(Policy::allow_all(), PolicyParams::new()).unwrap();
+        Replica::new(
+            ReplicaConfig {
+                checkpoint_interval: 0,
+                ..ReplicaConfig::new(0, 4, 1)
+            },
+            service,
+            BTreeMap::new(),
+        );
     }
 
     #[test]

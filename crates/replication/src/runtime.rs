@@ -58,21 +58,18 @@ pub struct ClientConfig {
     /// timestamp — or its first requests replay earlier invocations'
     /// replies. Long-lived handles keep the 0 default.
     pub first_request_id: u64,
-    /// Serve `rd`/`rdp`/`count` over the one-round quorum fast path
-    /// (default). Disable to force every read through the ordering
-    /// pipeline — the baseline the `read_fast_path` benchmark compares
-    /// against.
-    pub fast_reads: bool,
-    /// Give up on a fast-read round (and fall back to the ordered path)
-    /// after this long without `f+1` fresh matching replies.
-    pub read_timeout: Duration,
-    /// How long the optimistic probe phase of a fast read waits before
-    /// widening to every replica. A fast read first asks only a preferred
-    /// `f+1` quorum — the cheapest read that can still decide — and widens
-    /// (rotating the preference past the unhelpful replica) if that window
-    /// stays silent this long or answers without deciding.
-    pub read_probe_timeout: Duration,
 }
+
+/// Give up on a fast-read round (and fall back to the ordered path) after
+/// this long without `f+1` fresh matching replies.
+const READ_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// How long the optimistic probe phase of a fast read waits before
+/// widening to every replica. A fast read first asks only a preferred
+/// `f+1` quorum — the cheapest read that can still decide — and widens
+/// (rotating the preference past the unhelpful replica) if that window
+/// stays silent this long or answers without deciding.
+const READ_PROBE_TIMEOUT: Duration = Duration::from_millis(25);
 
 impl Default for ClientConfig {
     fn default() -> Self {
@@ -80,9 +77,6 @@ impl Default for ClientConfig {
             retry_interval: Duration::from_millis(500),
             invoke_timeout: Duration::from_secs(10),
             first_request_id: 0,
-            fast_reads: true,
-            read_timeout: Duration::from_millis(500),
-            read_probe_timeout: Duration::from_millis(25),
         }
     }
 }
@@ -563,7 +557,7 @@ struct ClientStats {
     rebroadcasts: AtomicU64,
     in_flight: AtomicU64,
     max_in_flight: AtomicU64,
-    fast_reads: AtomicU64,
+    fast_served: AtomicU64,
     fast_read_fallbacks: AtomicU64,
 }
 
@@ -706,12 +700,9 @@ impl<T: Transport> ReplicatedPeats<T> {
     /// disagree. `op` must be `rd`/`rdp`/`count` — replicas refuse to
     /// fast-serve anything else.
     fn invoke_read(&self, op: OpCall<'static>) -> SpaceResult<OpResult> {
-        if !self.cfg.fast_reads {
-            return self.invoke(op);
-        }
         match self.try_fast_read(&op) {
             Some(result) => {
-                self.stats.fast_reads.fetch_add(1, Ordering::Relaxed);
+                self.stats.fast_served.fetch_add(1, Ordering::Relaxed);
                 Ok(result)
             }
             None => {
@@ -733,7 +724,7 @@ impl<T: Transport> ReplicatedPeats<T> {
     /// decide, so the common fault-free case pays for `f+1` request/reply
     /// pairs instead of `3f+1`. If the window answers without deciding
     /// (stale, Byzantine, or conflicting replies) or stays silent past
-    /// `read_probe_timeout`, the read *widens* to the remaining replicas
+    /// [`READ_PROBE_TIMEOUT`], the read *widens* to the remaining replicas
     /// and rotates the preferred window, so an unhelpful replica only
     /// taxes the reads that first discover it.
     fn try_fast_read(&self, op: &OpCall<'static>) -> Option<OpResult> {
@@ -762,9 +753,8 @@ impl<T: Transport> ReplicatedPeats<T> {
         for i in 0..quorum.min(self.n_replicas) {
             send_to(i);
         }
-        let deadline = Instant::now() + self.cfg.read_timeout;
-        let probe_deadline =
-            Instant::now() + self.cfg.read_probe_timeout.min(self.cfg.read_timeout);
+        let deadline = Instant::now() + READ_TIMEOUT;
+        let probe_deadline = Instant::now() + READ_PROBE_TIMEOUT;
         let mut widened = quorum >= self.n_replicas;
         loop {
             let now = Instant::now();
@@ -1046,7 +1036,7 @@ impl<T: Transport> ReplicatedPeats<T> {
 
     /// Reads served by the one-round fast path (no ordering round).
     pub fn fast_reads_served(&self) -> u64 {
-        self.stats.fast_reads.load(Ordering::Relaxed)
+        self.stats.fast_served.load(Ordering::Relaxed)
     }
 
     /// Fast-read rounds that fell back to the ordered path (timeout or

@@ -43,8 +43,8 @@ pub struct ClusterConfig {
     /// Maximum assigned-but-unexecuted slots in flight (see
     /// [`ReplicaConfig::max_in_flight`]).
     pub max_in_flight: usize,
-    /// Checkpoint interval in executed slots (see
-    /// [`ReplicaConfig::checkpoint_interval`]; `0` disables checkpointing).
+    /// Checkpoint interval in executed slots, at least 1 (see
+    /// [`ReplicaConfig::checkpoint_interval`]).
     pub checkpoint_interval: u64,
     /// Interval of the replicas' progress check (the view-change trigger).
     /// The check runs on a deadline — it fires even under continuous
@@ -78,14 +78,45 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// The pre-batching behavior — one slot per request the moment it
-    /// arrives. The benchmark baseline.
-    pub fn one_slot_per_request() -> Self {
-        ClusterConfig {
-            batch_cap: 1,
-            max_in_flight: usize::MAX,
-            ..ClusterConfig::default()
+    /// Builds harness replica `id` of a `3f+1` cluster: a fresh service
+    /// over `policy`/`params`, batched, pipelined and checkpointed as this
+    /// config says. With a `data_dir`, the replica recovers from any state
+    /// under `data_dir/replica-<id>` and write-ahead-logs there. Disk
+    /// failure is non-fatal: the replica keeps running memory-only,
+    /// matching the degrade policy of the [`wal`](crate::wal) module.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PolicyError`] when the policy declares unset
+    /// parameters.
+    pub fn build_replica(
+        &self,
+        id: usize,
+        f: usize,
+        policy: &Policy,
+        params: &PolicyParams,
+        registry: &BTreeMap<u64, u64>,
+    ) -> Result<Replica, PolicyError> {
+        let service = PeatsService::new(policy.clone(), params.clone())?;
+        let mut replica = Replica::new(
+            ReplicaConfig {
+                batch_cap: self.batch_cap,
+                max_in_flight: self.max_in_flight,
+                checkpoint_interval: self.checkpoint_interval,
+                ..ReplicaConfig::new(id as u32, 3 * f + 1, f)
+            },
+            service,
+            registry.clone(),
+        );
+        if let Some(root) = &self.data_dir {
+            match DurableStore::open(&root.join(format!("replica-{id}")), self.durable) {
+                Ok((store, recovery)) => {
+                    replica.restore_durable(store, recovery);
+                }
+                Err(e) => eprintln!("replica {id}: disk unavailable ({e}); running memory-only"),
+            }
         }
+        Ok(replica)
     }
 }
 
@@ -168,21 +199,10 @@ impl ThreadedCluster {
         // Spawn replicas (mailboxes 0..n).
         let client_boxes = mailboxes.split_off(n_replicas);
         for (id, mailbox) in mailboxes.into_iter().enumerate() {
-            let service = PeatsService::new(policy.clone(), params.clone())?;
-            let mut replica = Replica::new(
-                ReplicaConfig {
-                    batch_cap: config.batch_cap,
-                    max_in_flight: config.max_in_flight,
-                    checkpoint_interval: config.checkpoint_interval,
-                    ..ReplicaConfig::new(id as u32, n_replicas, f)
-                },
-                service,
-                registry.clone(),
-            );
+            let mut replica = config.build_replica(id, f, &policy, &params, &registry)?;
             if let Some(fault) = faults.get(id) {
                 replica.set_fault(fault.clone());
             }
-            attach_durable(&mut replica, &config, id);
             let replica = Arc::new(parking_lot::Mutex::new(replica));
             replicas.push(Arc::clone(&replica));
             let keys = KeyTable::new(id as u64, master.clone());
@@ -241,19 +261,10 @@ impl ThreadedCluster {
     /// replica's thread, mailbox, and keys survive; recovery must go
     /// through checkpoint detection and snapshot state transfer.
     pub fn restart_replica(&self, id: usize) {
-        let service = PeatsService::new(self.policy.clone(), self.params.clone())
+        let fresh = self
+            .config
+            .build_replica(id, self.f, &self.policy, &self.params, &self.registry)
             .expect("policy parameters were already validated at start");
-        let mut fresh = Replica::new(
-            ReplicaConfig {
-                batch_cap: self.config.batch_cap,
-                max_in_flight: self.config.max_in_flight,
-                checkpoint_interval: self.config.checkpoint_interval,
-                ..ReplicaConfig::new(id as u32, self.n_replicas, self.f)
-            },
-            service,
-            self.registry.clone(),
-        );
-        attach_durable(&mut fresh, &self.config, id);
         *self.replicas[id].lock() = fresh;
     }
 
@@ -308,22 +319,6 @@ impl ThreadedCluster {
         for j in self.joins.drain(..) {
             let _ = j.join();
         }
-    }
-}
-
-/// Opens `data_dir/replica-<id>` and restores the replica from whatever
-/// durable state is found there. Disk failure is non-fatal: the replica
-/// keeps running memory-only, matching the degrade policy of the
-/// [`wal`](crate::wal) module.
-fn attach_durable(replica: &mut Replica, config: &ClusterConfig, id: usize) {
-    let Some(root) = &config.data_dir else {
-        return;
-    };
-    match DurableStore::open(&root.join(format!("replica-{id}")), config.durable) {
-        Ok((store, recovery)) => {
-            replica.restore_durable(store, recovery);
-        }
-        Err(e) => eprintln!("replica {id}: disk unavailable ({e}); running memory-only"),
     }
 }
 
@@ -933,31 +928,6 @@ mod tests {
             .map(|id| cluster.last_exec(id))
             .collect();
         assert_eq!(after, execs, "reads must not enter the ordering pipeline");
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn disabling_fast_reads_forces_the_ordered_path() {
-        let mut cluster = ThreadedCluster::start_with(
-            Policy::allow_all(),
-            PolicyParams::new(),
-            1,
-            &[100],
-            &[],
-            ClusterConfig {
-                client: ClientConfig {
-                    fast_reads: false,
-                    ..ClientConfig::default()
-                },
-                ..ClusterConfig::default()
-            },
-        )
-        .unwrap();
-        let h = cluster.handle(0);
-        h.out(tuple!["OR", 1]).unwrap();
-        assert_eq!(h.rdp(&template!["OR", ?x]).unwrap(), Some(tuple!["OR", 1]));
-        assert_eq!(h.count(&template!["OR", ?x]).unwrap(), 1);
-        assert_eq!(h.fast_reads_served(), 0);
         cluster.shutdown();
     }
 

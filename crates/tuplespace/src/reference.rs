@@ -8,8 +8,8 @@
 //! * the differential property suite (`tests/differential.rs`), which
 //!   replays random operation sequences against both engines and demands
 //!   identical observable behaviour, and
-//! * the `space_ops` benchmarks and the `bench_space` binary, which measure
-//!   the index's speedup against this baseline (`BENCH_space.json`).
+//! * the `space_ops` criterion bench, which measures the index's speedup
+//!   against this baseline.
 //!
 //! Selection semantics are shared with the indexed engine (same xorshift
 //! stream, same rejection-sampled draw over matches in insertion order), so
