@@ -36,7 +36,7 @@ pub mod config;
 pub mod tcp;
 pub mod text;
 
-pub use cluster::{TcpCluster, TcpClusterConfig};
+pub use cluster::{TcpCluster, TcpClusterConfig, TcpFabric};
 pub use tcp::{TcpMailbox, TcpTransport};
 
 /// Tuning knobs for a [`TcpTransport`] endpoint.

@@ -553,13 +553,6 @@ impl Transport for TcpTransport {
             self.shared.send_to(to, payloads);
         }
     }
-
-    fn peers(&self) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> = self.shared.dial_links.keys().copied().collect();
-        ids.push(self.shared.me);
-        ids.sort_unstable();
-        ids
-    }
 }
 
 impl std::fmt::Debug for TcpTransport {

@@ -72,7 +72,6 @@ fn bound_endpoints_exchange_messages_both_ways() {
         recv_payload(&m0, Duration::from_secs(1)),
         Some((0, b"self".to_vec()))
     );
-    assert_eq!(t0.peers(), vec![0, 1]);
     t0.shutdown();
     t1.shutdown();
 }

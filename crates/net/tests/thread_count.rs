@@ -61,7 +61,7 @@ fn inbound_connections_cost_a_drainer_each_and_no_reader() {
     );
 
     // 16 more peers dial replica 0 and say hello.
-    let addr = cluster.replica_addr(0);
+    let addr = cluster.fabric().replica_addrs()[&0];
     let conns: Vec<TcpStream> = (0..16u32)
         .map(|i| {
             let mut s = TcpStream::connect(addr).unwrap();

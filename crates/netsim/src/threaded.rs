@@ -4,8 +4,12 @@
 //! payloads) but messages move over `crossbeam` channels between real
 //! threads — this is what the replicated-PEATS performance experiments
 //! (E12) run on. A blocking receive gets the channel's wait strategy: a
-//! few rounds of yielding while the queue stays empty, then a park. Implements the [`Transport`]/[`Mailbox`] trait pair, so
-//! every harness written against the traits runs on it unchanged.
+//! few rounds of yielding while the queue stays empty, then a park.
+//!
+//! [`ThreadNet`] and [`ThreadMailbox`] have no API beyond their
+//! constructor and the [`Transport`]/[`Mailbox`] trait pair, so every
+//! harness written against the traits runs on them unchanged; bring the
+//! traits into scope to send or receive.
 
 use crate::sim::NodeId;
 use crate::transport::{Disconnected, Envelope, Mailbox, Transport};
@@ -47,48 +51,17 @@ impl ThreadNet {
             mailboxes,
         )
     }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.inboxes.len()
-    }
-
-    /// `true` when the fabric has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.inboxes.is_empty()
-    }
-
-    /// Sends `payload` from `from` to `to`. Messages to unknown or
-    /// shut-down nodes are silently dropped (asynchronous model).
-    pub fn send(&self, from: NodeId, to: NodeId, payload: Vec<u8>) {
-        if let Some(tx) = self.inboxes.get(to as usize) {
-            let _ = tx.send((from, payload));
-        }
-    }
-
-    /// Broadcasts to all nodes except `from`.
-    pub fn broadcast(&self, from: NodeId, payload: &[u8]) {
-        for to in 0..self.inboxes.len() as NodeId {
-            if to != from {
-                self.send(from, to, payload.to_vec());
-            }
-        }
-    }
 }
 
 impl Transport for ThreadNet {
     type Mailbox = ThreadMailbox;
 
+    /// Messages to unknown nodes are silently dropped (asynchronous
+    /// model).
     fn send(&self, from: NodeId, to: NodeId, payload: Vec<u8>) {
-        ThreadNet::send(self, from, to, payload);
-    }
-
-    fn peers(&self) -> Vec<NodeId> {
-        (0..self.inboxes.len() as NodeId).collect()
-    }
-
-    fn broadcast(&self, from: NodeId, payload: &[u8]) {
-        ThreadNet::broadcast(self, from, payload);
+        if let Some(tx) = self.inboxes.get(to as usize) {
+            let _ = tx.send((from, payload));
+        }
     }
 }
 
@@ -100,20 +73,16 @@ impl std::fmt::Debug for ThreadNet {
     }
 }
 
-impl ThreadMailbox {
-    /// This mailbox's node identity.
-    pub fn id(&self) -> NodeId {
+impl Mailbox for ThreadMailbox {
+    fn id(&self) -> NodeId {
         self.id
     }
 
-    /// Blocks for the next message.
-    pub fn recv(&self) -> Option<Envelope> {
+    fn recv(&self) -> Option<Envelope> {
         self.rx.recv().ok()
     }
 
-    /// Blocks up to `timeout`; `Ok(None)` on timeout, `Err(Disconnected)`
-    /// when the fabric is gone.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<Envelope>, Disconnected> {
+    fn recv_timeout(&self, timeout: Duration) -> Result<Option<Envelope>, Disconnected> {
         match self.rx.recv_timeout(timeout) {
             Ok(env) => Ok(Some(env)),
             Err(RecvTimeoutError::Timeout) => Ok(None),
@@ -121,27 +90,8 @@ impl ThreadMailbox {
         }
     }
 
-    /// Nonblocking poll.
-    pub fn try_recv(&self) -> Option<Envelope> {
-        self.rx.try_recv().ok()
-    }
-}
-
-impl Mailbox for ThreadMailbox {
-    fn id(&self) -> NodeId {
-        ThreadMailbox::id(self)
-    }
-
-    fn recv(&self) -> Option<Envelope> {
-        ThreadMailbox::recv(self)
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Option<Envelope>, Disconnected> {
-        ThreadMailbox::recv_timeout(self, timeout)
-    }
-
     fn try_recv(&self) -> Option<Envelope> {
-        ThreadMailbox::try_recv(self)
+        self.rx.try_recv().ok()
     }
 }
 
@@ -156,15 +106,6 @@ mod tests {
         let b1 = boxes.remove(1);
         net.send(0, 1, b"hi".to_vec());
         assert_eq!(b1.recv(), Some((0, b"hi".to_vec())));
-    }
-
-    #[test]
-    fn broadcast_reaches_everyone_but_sender() {
-        let (net, boxes) = ThreadNet::new(3);
-        net.broadcast(0, b"x");
-        assert!(boxes[0].try_recv().is_none());
-        assert_eq!(boxes[1].recv().unwrap().1, b"x");
-        assert_eq!(boxes[2].recv().unwrap().1, b"x");
     }
 
     #[test]
@@ -193,19 +134,5 @@ mod tests {
         let (_net, boxes) = ThreadNet::new(1);
         let r = boxes[0].recv_timeout(Duration::from_millis(10));
         assert_eq!(r, Ok(None));
-    }
-
-    #[test]
-    fn trait_object_view_matches_inherent_api() {
-        // The generic harnesses see ThreadNet only through the traits.
-        fn through_traits<T: Transport>(net: T, boxes: Vec<T::Mailbox>) {
-            assert_eq!(net.peers().len(), boxes.len());
-            Transport::broadcast(&net, 0, b"t");
-            for b in &boxes[1..] {
-                assert_eq!(Mailbox::recv(b).unwrap().1, b"t");
-            }
-        }
-        let (net, boxes) = ThreadNet::new(3);
-        through_traits(net, boxes);
     }
 }

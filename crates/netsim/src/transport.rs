@@ -4,13 +4,19 @@
 //! between dense [`NodeId`]s under the asynchronous model (sends may be
 //! dropped, delayed, or reordered; they are never corrupted *undetectably*,
 //! because everything above the transport travels MAC-sealed) — so the
-//! replication harnesses are written against this trait pair instead of a
-//! concrete fabric:
+//! replica event loop and the client handle are written against this trait
+//! pair instead of a concrete fabric:
 //!
 //! * [`ThreadNet`](crate::ThreadNet) — in-memory channels between threads
 //!   (the fast, deterministic-ish verification tier);
 //! * `peats-net`'s `TcpTransport` — length-prefixed frames over real
 //!   sockets (the deployment tier: `peatsd` daemons and the `peats` CLI).
+//!
+//! The sending half is two calls, [`Transport::send`] and
+//! [`Transport::send_batch`]. It has no peer list and no broadcast: a
+//! replica and a client always know the node ids they address (replicas
+//! are `0..n`), and fan a message out themselves, sealing it per
+//! recipient.
 //!
 //! The deterministic simulator ([`crate::sim`]) stays sans-io and does not
 //! implement these traits; it drives the replica state machines directly.
@@ -89,19 +95,6 @@ pub trait Transport: Clone + Send + 'static {
     fn send_batch(&self, from: NodeId, batch: Vec<(NodeId, Vec<u8>)>) {
         for (to, payload) in batch {
             self.send(from, to, payload);
-        }
-    }
-
-    /// The node ids this transport can address (the configured peer set,
-    /// including the local node where it is addressable).
-    fn peers(&self) -> Vec<NodeId>;
-
-    /// Broadcasts to every known peer except `from`.
-    fn broadcast(&self, from: NodeId, payload: &[u8]) {
-        for to in self.peers() {
-            if to != from {
-                self.send(from, to, payload.to_vec());
-            }
         }
     }
 }

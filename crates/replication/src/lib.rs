@@ -18,11 +18,15 @@
 //!   ([`ReplicatedPeats`]), written against `peats-netsim`'s
 //!   [`Transport`](peats_netsim::Transport) trait so the same code runs
 //!   over in-memory channels and over real TCP sockets (`peats-net`);
-//! * [`threaded`] — the in-process deployment ([`ThreadedCluster`]):
-//!   `runtime` instantiated with [`ThreadNet`](peats_netsim::ThreadNet).
-//!   The client handle implements [`peats::TupleSpace`], so every
-//!   consensus object and universal construction runs on the real
-//!   replicated service unchanged.
+//! * [`threaded`] — the in-process deployment: one [`Cluster`] harness
+//!   (replica threads, client slots, introspection, fault injection,
+//!   kill/respawn) over a small [`Fabric`] trait that only hands nodes
+//!   their endpoints. [`ThreadedCluster`] is the cluster over in-memory
+//!   channels ([`ThreadNet`](peats_netsim::ThreadNet)); `peats-net`'s
+//!   `TcpCluster` is the same cluster over loopback sockets. The client
+//!   handle implements [`peats::TupleSpace`], so every consensus object and
+//!   universal construction runs on the real replicated service
+//!   unchanged.
 //!
 //! Safety requires `n = 3f+1` replicas; this is the *replica* fault bound
 //! `f`, independent of the *process* fault bound `t` of the algorithms
@@ -54,7 +58,7 @@ pub use replica::{Dest, Replica, ReplicaConfig, ReplicaFootprint};
 pub use runtime::{replica_main, ship, ClientConfig, ReplicatedPeats, Subscription};
 pub use service::PeatsService;
 pub use sim_harness::{FastRead, SimCluster};
-pub use threaded::{ClusterConfig, ThreadedCluster};
+pub use threaded::{Cluster, ClusterConfig, Fabric, ThreadedCluster};
 pub use wal::{
     DiskMetrics, DurableConfig, DurableSnapshot, DurableStore, Recovery, RecoveryReport, WalRecord,
 };

@@ -81,15 +81,17 @@ impl Default for ClientConfig {
     }
 }
 
-/// Seals a batch of replica outputs and hands it to the transport as one
-/// [`Transport::send_batch`].
-pub fn ship<T: Transport>(
-    net: &T,
+/// Seals replica outputs into `(to, frame)` pairs: a [`Dest`] becomes the
+/// node ids it names (every replica but this one for
+/// [`Dest::AllReplicas`]), each frame MAC'd for its recipient. The one
+/// routing step of every replica driver — [`ship`] here, the simulator's
+/// replica actor in [`sim_harness`](crate::sim_harness).
+pub fn seal_outputs(
     keys: &KeyTable,
-    me: NodeId,
     n: usize,
     outputs: Vec<(Dest, Message)>,
-) {
+) -> Vec<(NodeId, Vec<u8>)> {
+    let me = keys.id();
     let mut frames = Vec::new();
     for (dest, msg) in outputs {
         // Encoded once per output: the frames of a broadcast differ only in
@@ -98,11 +100,23 @@ pub fn ship<T: Transport>(
         let mut seal = |peer: u64| frames.push((peer as NodeId, Sealed::frame(keys, peer, &body)));
         match dest {
             Dest::Replica(r) => seal(u64::from(r)),
-            Dest::AllReplicas => (0..n as u64).filter(|&r| r != u64::from(me)).for_each(seal),
+            Dest::AllReplicas => (0..n as u64).filter(|&r| r != me).for_each(seal),
             Dest::Client(node) => seal(node),
         }
     }
-    net.send_batch(me, frames);
+    frames
+}
+
+/// Seals a batch of replica outputs ([`seal_outputs`]) and hands it to the
+/// transport as one [`Transport::send_batch`].
+pub fn ship<T: Transport>(
+    net: &T,
+    keys: &KeyTable,
+    me: NodeId,
+    n: usize,
+    outputs: Vec<(Dest, Message)>,
+) {
+    net.send_batch(me, seal_outputs(keys, n, outputs));
 }
 
 /// Most envelopes one pass takes from the mailbox before it flushes: a
@@ -112,7 +126,8 @@ pub fn ship<T: Transport>(
 const MAX_PASS: usize = 64;
 
 /// The replica event loop: drives one [`Replica`] state machine from a
-/// transport mailbox until `stop` is set or the transport disconnects.
+/// transport mailbox until `stop` is set or the transport disconnects, then
+/// hands the mailbox back (a harness respawns the replica on it).
 /// This is the loop a replica thread runs in [`ThreadedCluster`] and the
 /// loop `peatsd` runs as a whole OS process — same code, different
 /// [`Transport`].
@@ -135,7 +150,7 @@ pub fn replica_main<T: Transport>(
     n: usize,
     stop: Arc<AtomicBool>,
     progress_period: Duration,
-) {
+) -> T::Mailbox {
     let me = mailbox.id();
     let mut last_seen_exec = 0;
     // Deadline-based progress check: the next check time only moves when a
@@ -150,7 +165,7 @@ pub fn replica_main<T: Transport>(
     let mut next_check = Instant::now() + progress_period;
     loop {
         if stop.load(Ordering::Relaxed) {
-            return;
+            return mailbox;
         }
         let now = Instant::now();
         if now >= next_check {
@@ -172,7 +187,7 @@ pub fn replica_main<T: Transport>(
         let first = match mailbox.recv_timeout(wait) {
             Ok(Some(envelope)) => envelope,
             Ok(None) => continue, // deadline reached; handled at the top of the loop
-            Err(_) => return,     // transport gone
+            Err(_) => return mailbox, // transport gone
         };
         let mut outputs = Vec::new();
         {
@@ -194,7 +209,7 @@ pub fn replica_main<T: Transport>(
 }
 
 /// A reply addressed to an in-flight invocation by `req_id`.
-enum ReplyEnvelope {
+pub(crate) enum ReplyEnvelope {
     /// An ordered-path `Reply`: the `(seq, result)` pair the replica
     /// recorded at execution.
     Ordered {
@@ -216,7 +231,7 @@ enum ReplyEnvelope {
 
 impl ReplyEnvelope {
     /// The reply an opened message carries, if it is one.
-    fn of(msg: Message) -> Option<ReplyEnvelope> {
+    pub(crate) fn of(msg: Message) -> Option<ReplyEnvelope> {
         match msg {
             // A replica-pushed wake carries the same fields as an ordered
             // reply and answers the same blocked registration, so both
@@ -266,7 +281,7 @@ impl ReplyEnvelope {
     /// The arguments of the ordered sessions' `on_reply`/`on_wake`; `None`
     /// for a fast reply (fast reads never share a `req_id` with an ordered
     /// request).
-    fn ordered(self) -> Option<(ReplicaId, u64, Seq, OpResult)> {
+    pub(crate) fn ordered(self) -> Option<(ReplicaId, u64, Seq, OpResult)> {
         match self {
             ReplyEnvelope::Ordered {
                 replica,
@@ -1261,10 +1276,6 @@ mod tests {
                 syncs_before,
             });
         }
-
-        fn peers(&self) -> Vec<NodeId> {
-            (0..4).collect()
-        }
     }
 
     /// What a test can see of a [`ScriptedMailbox`] it gave away.
@@ -1532,10 +1543,6 @@ mod tests {
             for reply in (self.answer)(to, &opened_by(to, &payload)) {
                 self.deliver(to, &reply);
             }
-        }
-
-        fn peers(&self) -> Vec<NodeId> {
-            (0..4).collect()
         }
     }
 

@@ -5,14 +5,21 @@
 //! `n + i`. Every message on the wire is a MAC-sealed [`Sealed`] envelope;
 //! replicas drop anything that fails authentication, which is what stops a
 //! Byzantine client from impersonating a correct process (§2.1).
+//!
+//! Frames are sealed and opened by the runtime's own code
+//! ([`seal_outputs`], [`Sealed::open_bytes`]) and replies are classified
+//! by the envelope the runtime handle routes, so only the driving differs
+//! from `replica_main`: simulated time instead of threads, and clients
+//! that are step-driven sessions instead of handles.
 
 use crate::client::{BlockingPoll, BlockingSession, ClientSession, ReadPoll, ReadSession};
 use crate::faults::FaultMode;
 use crate::messages::{Message, OpResult, ReplicaId, Sealed, Seq, WaitKind};
 use crate::replica::{Dest, Replica, ReplicaConfig};
+use crate::runtime::{seal_outputs, ReplyEnvelope};
 use crate::service::PeatsService;
-use peats_auth::{Digest, KeyTable};
-use peats_codec::{Decode, Encode};
+use peats_auth::KeyTable;
+use peats_codec::Encode;
 use peats_netsim::{Actor, Context, NetConfig, NodeId, SimNet};
 use peats_policy::{OpCall, Policy, PolicyParams};
 use peats_tuplespace::Template;
@@ -34,18 +41,8 @@ struct ReplicaActor {
 
 impl ReplicaActor {
     fn ship(&self, ctx: &mut Context<'_>, outputs: Vec<(Dest, Message)>) {
-        for (dest, msg) in outputs {
-            let body = msg.to_bytes();
-            let mut send = |peer: u64| {
-                ctx.send(peer as NodeId, Sealed::frame(&self.keys, peer, &body));
-            };
-            match dest {
-                Dest::Replica(r) => send(u64::from(r)),
-                Dest::AllReplicas => (0..self.n_replicas as u64)
-                    .filter(|&r| r != self.keys.id())
-                    .for_each(send),
-                Dest::Client(node) => send(node),
-            }
+        for (to, frame) in seal_outputs(&self.keys, self.n_replicas, outputs) {
+            ctx.send(to, frame);
         }
     }
 }
@@ -56,11 +53,8 @@ impl Actor for ReplicaActor {
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_>, _from: NodeId, payload: &[u8]) {
-        let Ok(sealed) = Sealed::from_bytes(payload) else {
-            return; // garbage: drop
-        };
-        let Some((sender, msg)) = sealed.open(&self.keys) else {
-            return; // bad MAC: drop
+        let Some((sender, msg)) = Sealed::open_bytes(&self.keys, payload) else {
+            return; // garbage or bad MAC: drop
         };
         let outputs = self.replica.borrow_mut().on_message(sender, msg);
         self.ship(ctx, outputs);
@@ -86,24 +80,10 @@ impl Actor for ReplicaActor {
     }
 }
 
-/// A reply logged at a simulated client, tagged by which path served it.
-enum LoggedReply {
-    Ordered {
-        replica: ReplicaId,
-        req_id: u64,
-        seq: Seq,
-        result: OpResult,
-    },
-    Fast {
-        replica: ReplicaId,
-        req_id: u64,
-        seq: Seq,
-        digest: Digest,
-        result: OpResult,
-    },
-}
-
-type ReplyLog = Rc<RefCell<Vec<LoggedReply>>>;
+/// The replies a simulated client received, in arrival order: ordered
+/// replies and pushed wakes as [`ReplyEnvelope::Ordered`], fast-read
+/// answers as [`ReplyEnvelope::Fast`] — what the runtime handle routes.
+type ReplyLog = Rc<RefCell<Vec<ReplyEnvelope>>>;
 
 struct ClientActor {
     keys: KeyTable,
@@ -112,59 +92,9 @@ struct ClientActor {
 
 impl Actor for ClientActor {
     fn on_message(&mut self, _ctx: &mut Context<'_>, _from: NodeId, payload: &[u8]) {
-        let Ok(sealed) = Sealed::from_bytes(payload) else {
-            return;
-        };
-        match sealed.open(&self.keys) {
-            Some((
-                _,
-                Message::Reply {
-                    req_id,
-                    seq,
-                    replica,
-                    result,
-                    ..
-                },
-            )) => self.replies.borrow_mut().push(LoggedReply::Ordered {
-                replica,
-                req_id,
-                seq,
-                result,
-            }),
-            Some((
-                _,
-                Message::ReadReply {
-                    req_id,
-                    seq,
-                    digest,
-                    result,
-                    replica,
-                },
-            )) => self.replies.borrow_mut().push(LoggedReply::Fast {
-                replica,
-                req_id,
-                seq,
-                digest,
-                result,
-            }),
-            // A pushed wake answers a blocked registration with the same
-            // fields an ordered reply carries — log it on the same track
-            // so the blocking session can vote over both.
-            Some((
-                _,
-                Message::Wake {
-                    req_id,
-                    seq,
-                    result,
-                    replica,
-                },
-            )) => self.replies.borrow_mut().push(LoggedReply::Ordered {
-                replica,
-                req_id,
-                seq,
-                result,
-            }),
-            _ => {}
+        let opened = Sealed::open_bytes(&self.keys, payload);
+        if let Some(reply) = opened.and_then(|(_, msg)| ReplyEnvelope::of(msg)) {
+            self.replies.borrow_mut().push(reply);
         }
     }
 }
@@ -419,19 +349,8 @@ impl SimCluster {
             }
             let client_ids: Vec<usize> = sessions.iter().map(|(c, _, _)| *c).collect();
             for client_idx in client_ids {
-                let pending: Vec<LoggedReply> = self.clients[client_idx]
-                    .replies
-                    .borrow_mut()
-                    .drain(..)
-                    .collect();
-                for reply in pending {
-                    let LoggedReply::Ordered {
-                        replica,
-                        req_id: rid,
-                        seq,
-                        result,
-                    } = reply
-                    else {
+                for reply in self.take_replies(client_idx) {
+                    let Some((replica, rid, seq, result)) = reply.ordered() else {
                         continue; // late fast-read replies: not ours
                     };
                     // `on_reply` ignores foreign req_ids, so feeding every
@@ -459,6 +378,11 @@ impl SimCluster {
             .into_iter()
             .map(|(_, _, d)| d.map(|(_, r)| r))
             .collect()
+    }
+
+    /// Takes every reply client `client_idx` has received so far.
+    fn take_replies(&self, client_idx: usize) -> Vec<ReplyEnvelope> {
+        std::mem::take(&mut *self.clients[client_idx].replies.borrow_mut())
     }
 
     /// The client's current read watermark.
@@ -502,13 +426,8 @@ impl SimCluster {
         while steps < self.step_budget {
             let live = self.net.step();
             steps += 1;
-            let pending: Vec<LoggedReply> = self.clients[client_idx]
-                .replies
-                .borrow_mut()
-                .drain(..)
-                .collect();
-            for reply in pending {
-                let LoggedReply::Fast {
+            for reply in self.take_replies(client_idx) {
+                let ReplyEnvelope::Fast {
                     replica,
                     req_id: rid,
                     seq,
@@ -581,19 +500,8 @@ impl SimCluster {
                 self.broadcast(client_idx, &session.request_message());
             }
             steps += 1;
-            let pending: Vec<LoggedReply> = self.clients[client_idx]
-                .replies
-                .borrow_mut()
-                .drain(..)
-                .collect();
-            for reply in pending {
-                let LoggedReply::Ordered {
-                    replica,
-                    req_id,
-                    seq,
-                    result,
-                } = reply
-                else {
+            for reply in self.take_replies(client_idx) {
+                let Some((replica, req_id, seq, result)) = reply.ordered() else {
                     continue;
                 };
                 match session.on_reply(replica, req_id, seq, result) {
@@ -629,19 +537,8 @@ impl SimCluster {
     pub fn pump_blocked(&mut self, blocked: &mut SimBlocked, budget: u64) -> Option<OpResult> {
         let mut steps = 0u64;
         loop {
-            let pending: Vec<LoggedReply> = self.clients[blocked.client_idx]
-                .replies
-                .borrow_mut()
-                .drain(..)
-                .collect();
-            for reply in pending {
-                let LoggedReply::Ordered {
-                    replica,
-                    req_id,
-                    seq,
-                    result,
-                } = reply
-                else {
+            for reply in self.take_replies(blocked.client_idx) {
+                let Some((replica, req_id, seq, result)) = reply.ordered() else {
                     continue;
                 };
                 if let BlockingPoll::Decided(_, result) =

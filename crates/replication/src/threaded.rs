@@ -1,21 +1,21 @@
-//! Thread-backed deployment: the replicated PEATS as a real concurrent
-//! service inside one process, built on the transport-generic runtime of
-//! [`crate::runtime`] instantiated with
-//! [`ThreadNet`](peats_netsim::ThreadNet).
+//! The in-process deployment: `3f+1` replica threads behind
+//! authenticated channels — the paper's Fig. 2 inside one process.
 //!
-//! This is the fast wall-clock verification tier (the performance
-//! experiments, E12): every operation is a MAC-sealed request broadcast to
-//! `3f+1` replica threads, ordered by the BFT protocol (batched and
-//! pipelined — see [`ReplicaConfig`](crate::replica::ReplicaConfig)),
-//! executed against each replica's policy-enforced space, and voted on
-//! client-side (`f+1` matching replies). The exact same
-//! [`replica_main`]/[`ReplicatedPeats`] code deployed over TCP sockets by
-//! `peats-net`'s `peatsd` daemon runs here over in-memory channels — the
-//! harness below differs from a real cluster only in its [`Transport`].
+//! [`Cluster`] is the one harness for both fabrics. It owns each replica's
+//! seat (state machine, stop flag, thread, endpoint), the client registry
+//! and slots, the master key, introspection, fault injection, and
+//! kill/respawn/shutdown. Every replica thread runs [`replica_main`] and
+//! every client handle is a [`ReplicatedPeats`] — the code `peatsd` and
+//! the `peats` CLI run as separate processes. All that differs is how a
+//! node gets its endpoint, the [`Fabric`]: [`ThreadFabric`]'s in-memory
+//! channels ([`ThreadedCluster`], the fast wall-clock tier) or
+//! `peats-net`'s loopback sockets (`TcpCluster`). A scenario written
+//! against `Cluster<F>` runs on both unchanged, and because the handle
+//! implements [`peats::TupleSpace`], so does every algorithm in
+//! `peats-consensus` and `peats-universal`.
 //!
-//! Because the handle implements [`peats::TupleSpace`], every algorithm in
-//! `peats-consensus` and `peats-universal` runs unmodified on top of it —
-//! the paper's Fig. 2 picture, end to end.
+//! The simulator ([`SimCluster`](crate::SimCluster)) is not an instance:
+//! its clients are step-driven sans-io sessions, not handles.
 
 use crate::faults::FaultMode;
 use crate::replica::{
@@ -26,7 +26,7 @@ use crate::runtime::{replica_main, ClientConfig, ReplicatedPeats};
 use crate::service::PeatsService;
 use crate::wal::{DurableConfig, DurableStore};
 use peats_auth::KeyTable;
-use peats_netsim::{ThreadMailbox, ThreadNet};
+use peats_netsim::{NodeId, ThreadMailbox, ThreadNet, Transport};
 use peats_policy::{Policy, PolicyError, PolicyParams};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -34,7 +34,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Deployment-wide configuration for a [`ThreadedCluster`].
+/// Deployment-wide configuration of a [`Cluster`] (either fabric).
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
     /// Maximum requests per `PrePrepare` batch (see
@@ -77,39 +77,128 @@ impl Default for ClusterConfig {
     }
 }
 
-impl ClusterConfig {
-    /// Builds harness replica `id` of a `3f+1` cluster: a fresh service
-    /// over `policy`/`params`, batched, pipelined and checkpointed as this
-    /// config says. With a `data_dir`, the replica recovers from any state
-    /// under `data_dir/replica-<id>` and write-ahead-logs there. Disk
-    /// failure is non-fatal: the replica keeps running memory-only,
-    /// matching the degrade policy of the [`wal`](crate::wal) module.
+/// The mailbox paired with a fabric's transport.
+type FabricMailbox<F> = <<F as Fabric>::Net as Transport>::Mailbox;
+
+/// How the nodes of a [`Cluster`] get their endpoints: the one part of a
+/// harness that depends on the transport.
+pub trait Fabric: Sized {
+    /// The transport every endpoint sends on.
+    type Net: Transport;
+
+    /// Node `node`'s endpoint: a replica's (nodes `0..3f+1`) or a
+    /// client's. For a respawned replica, `old` is the mailbox its last
+    /// event loop handed back when it was killed; `None` otherwise.
+    fn endpoint(
+        &mut self,
+        node: NodeId,
+        old: Option<FabricMailbox<Self>>,
+    ) -> (Self::Net, FabricMailbox<Self>);
+
+    /// Closes node `node`'s endpoint `net`: a thread blocked in its mailbox
+    /// returns.
+    fn close(&self, net: &Self::Net, node: NodeId);
+}
+
+/// One replica: its state machine, stop flag, thread and endpoint.
+struct Seat<T: Transport> {
+    /// Shared with the replica's thread. Introspection locks it between
+    /// two passes of the loop, never waiting on a receive.
+    replica: Arc<parking_lot::Mutex<Replica>>,
+    stop: Arc<AtomicBool>,
+    net: T,
+    /// The running loop; it hands its mailbox back when it stops.
+    thread: Option<JoinHandle<T::Mailbox>>,
+    /// A killed replica's mailbox, kept for its respawn.
+    parked: Option<T::Mailbox>,
+}
+
+/// A running replicated PEATS inside one process: `3f+1` replica threads
+/// over the fabric `F`, plus one client slot per provisioned pid.
+pub struct Cluster<F: Fabric> {
+    fabric: F,
+    seats: Vec<Seat<F::Net>>,
+    f: usize,
+    master: Vec<u8>,
+    client_slots: Vec<Option<u64>>,
+    /// The endpoints handed to client handles, closed at shutdown.
+    clients: Vec<(NodeId, F::Net)>,
+    /// Everything needed to build a fresh replica on a respawn.
+    policy: Policy,
+    params: PolicyParams,
+    registry: BTreeMap<u64, u64>,
+    config: ClusterConfig,
+}
+
+impl<F: Fabric> Cluster<F> {
+    /// Starts `3f+1` replicas hosting a PEATS with `policy`/`params` on
+    /// `fabric`, and provisions one client slot per entry of
+    /// `client_pids` (client `i` is node `3f+1+i`). `faults[i]` (when
+    /// provided) injects a fault into replica `i`.
     ///
     /// # Errors
     ///
     /// Returns [`PolicyError`] when the policy declares unset
     /// parameters.
-    pub fn build_replica(
-        &self,
-        id: usize,
+    pub fn launch(
+        fabric: F,
+        policy: Policy,
+        params: PolicyParams,
         f: usize,
-        policy: &Policy,
-        params: &PolicyParams,
-        registry: &BTreeMap<u64, u64>,
-    ) -> Result<Replica, PolicyError> {
-        let service = PeatsService::new(policy.clone(), params.clone())?;
+        client_pids: &[u64],
+        faults: &[FaultMode],
+        config: ClusterConfig,
+    ) -> Result<Self, PolicyError> {
+        let n_replicas = 3 * f + 1;
+        let registry = client_pids
+            .iter()
+            .enumerate()
+            .map(|(i, pid)| ((n_replicas + i) as u64, *pid))
+            .collect();
+        let mut cluster = Cluster {
+            fabric,
+            seats: Vec::with_capacity(n_replicas),
+            f,
+            master: b"peats-cluster-master".to_vec(),
+            client_slots: client_pids.iter().map(|pid| Some(*pid)).collect(),
+            clients: Vec::new(),
+            policy,
+            params,
+            registry,
+            config,
+        };
+        for id in 0..n_replicas {
+            let mut replica = cluster.build_replica(id)?;
+            if let Some(fault) = faults.get(id) {
+                replica.set_fault(fault.clone());
+            }
+            let seat = cluster.spawn(id, Arc::new(parking_lot::Mutex::new(replica)), None);
+            cluster.seats.push(seat);
+        }
+        Ok(cluster)
+    }
+
+    /// Builds replica `id`: a fresh service over the cluster's policy,
+    /// batched, pipelined and checkpointed as its config says. With a
+    /// `data_dir`, the replica recovers from any state under
+    /// `data_dir/replica-<id>` and write-ahead-logs there. Disk failure is
+    /// non-fatal: the replica keeps running memory-only, matching the
+    /// degrade policy of the [`wal`](crate::wal) module.
+    fn build_replica(&self, id: usize) -> Result<Replica, PolicyError> {
+        let service = PeatsService::new(self.policy.clone(), self.params.clone())?;
+        let config = &self.config;
         let mut replica = Replica::new(
             ReplicaConfig {
-                batch_cap: self.batch_cap,
-                max_in_flight: self.max_in_flight,
-                checkpoint_interval: self.checkpoint_interval,
-                ..ReplicaConfig::new(id as u32, 3 * f + 1, f)
+                batch_cap: config.batch_cap,
+                max_in_flight: config.max_in_flight,
+                checkpoint_interval: config.checkpoint_interval,
+                ..ReplicaConfig::new(id as u32, 3 * self.f + 1, self.f)
             },
             service,
-            registry.clone(),
+            self.registry.clone(),
         );
-        if let Some(root) = &self.data_dir {
-            match DurableStore::open(&root.join(format!("replica-{id}")), self.durable) {
+        if let Some(root) = &config.data_dir {
+            match DurableStore::open(&root.join(format!("replica-{id}")), config.durable) {
                 Ok((store, recovery)) => {
                     replica.restore_durable(store, recovery);
                 }
@@ -118,29 +207,202 @@ impl ClusterConfig {
         }
         Ok(replica)
     }
+
+    /// Runs `replica` as replica `id` on a thread of its own.
+    fn spawn(
+        &mut self,
+        id: usize,
+        replica: Arc<parking_lot::Mutex<Replica>>,
+        old: Option<FabricMailbox<F>>,
+    ) -> Seat<F::Net> {
+        let (net, mailbox) = self.fabric.endpoint(id as NodeId, old);
+        let stop = Arc::new(AtomicBool::new(false));
+        let thread = {
+            let (replica, net, stop) = (Arc::clone(&replica), net.clone(), Arc::clone(&stop));
+            let keys = KeyTable::new(id as u64, self.master.clone());
+            let (n, period) = (3 * self.f + 1, self.config.progress_period);
+            std::thread::spawn(move || replica_main(replica, keys, mailbox, net, n, stop, period))
+        };
+        Seat {
+            replica,
+            stop,
+            net,
+            thread: Some(thread),
+            parked: None,
+        }
+    }
+
+    /// Number of replicas.
+    pub fn n_replicas(&self) -> usize {
+        self.seats.len()
+    }
+
+    /// The fabric the cluster runs on.
+    pub fn fabric(&self) -> &F {
+        &self.fabric
+    }
+
+    /// Injects a fault mode into a running replica (crash/recover
+    /// experiments).
+    pub fn set_fault(&self, id: usize, fault: FaultMode) {
+        self.seats[id].replica.lock().set_fault(fault);
+    }
+
+    /// Replica `id`'s last executed sequence number.
+    pub fn last_exec(&self, id: usize) -> u64 {
+        self.seats[id].replica.lock().last_exec()
+    }
+
+    /// Replica `id`'s stable checkpoint.
+    pub fn stable_seq(&self, id: usize) -> u64 {
+        self.seats[id].replica.lock().stable_seq()
+    }
+
+    /// Replica `id`'s memory footprint (bounded-memory assertions).
+    pub fn replica_footprint(&self, id: usize) -> ReplicaFootprint {
+        self.seats[id].replica.lock().footprint()
+    }
+
+    /// Replica `id`'s service state digest (divergence checks).
+    pub fn state_digest(&self, id: usize) -> peats_auth::Digest {
+        self.seats[id].replica.lock().state_digest()
+    }
+
+    /// Stops replica `id` hard: its event loop ends and its endpoint is
+    /// closed (over sockets, every connection resets and peers fall back
+    /// to reconnect-with-backoff). Its state machine stays readable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the replica's thread panicked.
+    pub fn kill_replica(&mut self, id: usize) {
+        let seat = &mut self.seats[id];
+        seat.stop.store(true, Ordering::Relaxed);
+        self.fabric.close(&seat.net, id as NodeId);
+        if let Some(thread) = seat.thread.take() {
+            seat.parked = Some(thread.join().expect("replica thread panicked"));
+        }
+    }
+
+    /// Brings a killed replica back *wiped* — fresh state machine, empty
+    /// log, view 0 — on its old endpoint (mailbox or address). Like a
+    /// process restarted after a crash, it recovers from its `data_dir`
+    /// if it has one, and otherwise through checkpoint state transfer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the replica was not killed first.
+    pub fn respawn_replica(&mut self, id: usize) {
+        assert!(
+            self.seats[id].thread.is_none(),
+            "respawn_replica requires kill_replica first"
+        );
+        let fresh = self
+            .build_replica(id)
+            .expect("policy parameters were already validated at start");
+        *self.seats[id].replica.lock() = fresh;
+        let old = self.seats[id].parked.take();
+        let replica = Arc::clone(&self.seats[id].replica);
+        self.seats[id] = self.spawn(id, replica, old);
+    }
+
+    /// A crash-and-restart of replica `id`:
+    /// [`kill_replica`](Self::kill_replica) then
+    /// [`respawn_replica`](Self::respawn_replica).
+    pub fn restart_replica(&mut self, id: usize) {
+        self.kill_replica(id);
+        self.respawn_replica(id);
+    }
+
+    /// Takes the [`TupleSpace`](peats::TupleSpace) handle for client slot
+    /// `idx`. The handle starts no thread of its own: whichever invocation
+    /// is waiting receives from its mailbox (see [`runtime`](crate::runtime)).
+    /// Clones of the handle share the mailbox and invoke concurrently.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot was already taken.
+    pub fn handle(&mut self, idx: usize) -> ReplicatedPeats<F::Net> {
+        let pid = self.client_slots[idx]
+            .take()
+            .expect("client slot already taken");
+        let node = (self.n_replicas() + idx) as NodeId;
+        let (net, mailbox) = self.fabric.endpoint(node, None);
+        self.clients.push((node, net.clone()));
+        let keys = KeyTable::new(u64::from(node), self.master.clone());
+        ReplicatedPeats::connect(
+            net,
+            mailbox,
+            keys,
+            pid,
+            self.f,
+            self.n_replicas(),
+            self.config.client.clone(),
+        )
+    }
+
+    /// Stops every replica thread and client endpoint and waits for the
+    /// replica threads to exit (what dropping the cluster does).
+    pub fn shutdown(self) {
+        drop(self);
+    }
 }
 
-/// A running thread-backed replicated PEATS.
-pub struct ThreadedCluster {
-    net: ThreadNet,
-    n_replicas: usize,
-    f: usize,
-    master: Vec<u8>,
-    client_slots: Vec<Option<(ThreadMailbox, u64)>>,
-    client_cfg: ClientConfig,
-    /// Shared handles onto the replica state machines (their threads own
-    /// the mailboxes; tests use these for fault injection, restarts, and
-    /// bounded-memory introspection).
-    replicas: Vec<Arc<parking_lot::Mutex<Replica>>>,
-    /// Everything needed to build a fresh replica on
-    /// [`restart_replica`](Self::restart_replica).
-    policy: Policy,
-    params: PolicyParams,
-    registry: BTreeMap<u64, u64>,
-    config: ClusterConfig,
-    stop: Arc<AtomicBool>,
-    joins: Vec<JoinHandle<()>>,
+impl<F: Fabric> Drop for Cluster<F> {
+    fn drop(&mut self) {
+        for (id, seat) in self.seats.iter().enumerate() {
+            seat.stop.store(true, Ordering::Relaxed);
+            self.fabric.close(&seat.net, id as NodeId);
+        }
+        for (node, net) in &self.clients {
+            self.fabric.close(net, *node);
+        }
+        for seat in &mut self.seats {
+            if let Some(thread) = seat.thread.take() {
+                let _ = thread.join();
+            }
+        }
+    }
 }
+
+impl<F: Fabric> std::fmt::Debug for Cluster<F> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Cluster")
+            .field("replicas", &self.seats.len())
+            .finish()
+    }
+}
+
+/// In-memory channels: every node's mailbox is made up front and handed
+/// out once; a respawned replica gets its old mailbox back, with whatever
+/// arrived while it was down.
+#[derive(Debug)]
+pub struct ThreadFabric {
+    net: ThreadNet,
+    mailboxes: Vec<Option<ThreadMailbox>>,
+}
+
+impl Fabric for ThreadFabric {
+    type Net = ThreadNet;
+
+    fn endpoint(&mut self, node: NodeId, old: Option<ThreadMailbox>) -> (ThreadNet, ThreadMailbox) {
+        let mailbox = old.or_else(|| self.mailboxes[node as usize].take());
+        (
+            self.net.clone(),
+            mailbox.expect("endpoint already handed out"),
+        )
+    }
+
+    /// A channel has no end to close while other nodes hold its sender:
+    /// an empty frame wakes the reader instead (it fails authentication
+    /// and is dropped), and a stopped loop then returns.
+    fn close(&self, net: &ThreadNet, node: NodeId) {
+        net.send(node, node, Vec::new());
+    }
+}
+
+/// The cluster over in-memory channels.
+pub type ThreadedCluster = Cluster<ThreadFabric>;
 
 impl ThreadedCluster {
     /// Spawns `3f+1` replica threads hosting a PEATS with
@@ -184,158 +446,12 @@ impl ThreadedCluster {
         faults: &[FaultMode],
         config: ClusterConfig,
     ) -> Result<Self, PolicyError> {
-        let n_replicas = 3 * f + 1;
-        let master = b"peats-threaded-master".to_vec();
-        let (net, mut mailboxes) = ThreadNet::new(n_replicas + client_pids.len());
-        let registry: BTreeMap<u64, u64> = client_pids
-            .iter()
-            .enumerate()
-            .map(|(i, pid)| ((n_replicas + i) as u64, *pid))
-            .collect();
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut joins = Vec::new();
-        let mut replicas = Vec::new();
-        // Spawn replicas (mailboxes 0..n).
-        let client_boxes = mailboxes.split_off(n_replicas);
-        for (id, mailbox) in mailboxes.into_iter().enumerate() {
-            let mut replica = config.build_replica(id, f, &policy, &params, &registry)?;
-            if let Some(fault) = faults.get(id) {
-                replica.set_fault(fault.clone());
-            }
-            let replica = Arc::new(parking_lot::Mutex::new(replica));
-            replicas.push(Arc::clone(&replica));
-            let keys = KeyTable::new(id as u64, master.clone());
-            let net = net.clone();
-            let stop = Arc::clone(&stop);
-            let progress_period = config.progress_period;
-            joins.push(std::thread::spawn(move || {
-                replica_main::<ThreadNet>(
-                    replica,
-                    keys,
-                    mailbox,
-                    net,
-                    n_replicas,
-                    stop,
-                    progress_period,
-                );
-            }));
-        }
-
-        let client_slots = client_boxes
-            .into_iter()
-            .zip(client_pids)
-            .map(|(mb, pid)| Some((mb, *pid)))
-            .collect();
-
-        Ok(ThreadedCluster {
+        let (net, mailboxes) = ThreadNet::new(3 * f + 1 + client_pids.len());
+        let fabric = ThreadFabric {
             net,
-            n_replicas,
-            f,
-            master,
-            client_slots,
-            client_cfg: config.client.clone(),
-            replicas,
-            policy,
-            params,
-            registry,
-            config,
-            stop,
-            joins,
-        })
-    }
-
-    /// Number of replicas.
-    pub fn n_replicas(&self) -> usize {
-        self.n_replicas
-    }
-
-    /// Injects a fault mode into a running replica (crash/recover
-    /// experiments).
-    pub fn set_fault(&self, id: usize, fault: FaultMode) {
-        self.replicas[id].lock().set_fault(fault);
-    }
-
-    /// Replaces replica `id`'s state machine with a brand-new one (fresh
-    /// service, empty log, view 0) — a crash-and-restart with no disk. The
-    /// replica's thread, mailbox, and keys survive; recovery must go
-    /// through checkpoint detection and snapshot state transfer.
-    pub fn restart_replica(&self, id: usize) {
-        let fresh = self
-            .config
-            .build_replica(id, self.f, &self.policy, &self.params, &self.registry)
-            .expect("policy parameters were already validated at start");
-        *self.replicas[id].lock() = fresh;
-    }
-
-    /// Replica `id`'s last executed sequence number.
-    pub fn last_exec(&self, id: usize) -> u64 {
-        self.replicas[id].lock().last_exec()
-    }
-
-    /// Replica `id`'s stable checkpoint.
-    pub fn stable_seq(&self, id: usize) -> u64 {
-        self.replicas[id].lock().stable_seq()
-    }
-
-    /// Replica `id`'s memory footprint (bounded-memory assertions).
-    pub fn replica_footprint(&self, id: usize) -> ReplicaFootprint {
-        self.replicas[id].lock().footprint()
-    }
-
-    /// Replica `id`'s service state digest (divergence checks).
-    pub fn state_digest(&self, id: usize) -> peats_auth::Digest {
-        self.replicas[id].lock().state_digest()
-    }
-
-    /// Takes the [`TupleSpace`](peats::TupleSpace) handle for client slot
-    /// `idx`, which takes the slot's mailbox with it and starts no thread:
-    /// whichever invocation is waiting receives (see
-    /// [`runtime`](crate::runtime)). Clones of the handle share the
-    /// mailbox and invoke concurrently.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot was already taken.
-    pub fn handle(&mut self, idx: usize) -> ReplicatedPeats {
-        let (mailbox, pid) = self.client_slots[idx]
-            .take()
-            .expect("client slot already taken");
-        let keys = KeyTable::new(u64::from(mailbox.id()), self.master.clone());
-        ReplicatedPeats::connect(
-            self.net.clone(),
-            mailbox,
-            keys,
-            pid,
-            self.f,
-            self.n_replicas,
-            self.client_cfg.clone(),
-        )
-    }
-
-    /// Stops all replica threads and waits for them.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        for j in self.joins.drain(..) {
-            let _ = j.join();
-        }
-    }
-}
-
-impl Drop for ThreadedCluster {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        for j in self.joins.drain(..) {
-            let _ = j.join();
-        }
-    }
-}
-
-impl std::fmt::Debug for ThreadedCluster {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadedCluster")
-            .field("replicas", &self.n_replicas)
-            .finish()
+            mailboxes: mailboxes.into_iter().map(Some).collect(),
+        };
+        Cluster::launch(fabric, policy, params, f, client_pids, faults, config)
     }
 }
 
@@ -369,27 +485,6 @@ mod tests {
             .inserted());
         let out = b.cas(&template!["D", ?x], tuple!["D", 9]).unwrap();
         assert_eq!(out.found(), Some(&tuple!["D", 7]));
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn survives_crashed_replica_and_corrupt_replies() {
-        let mut cluster = ThreadedCluster::start(
-            Policy::allow_all(),
-            PolicyParams::new(),
-            1,
-            &[100],
-            &[
-                FaultMode::Correct,
-                FaultMode::CorruptReplies,
-                FaultMode::Correct,
-                FaultMode::Crashed,
-            ],
-        )
-        .unwrap();
-        let h = cluster.handle(0);
-        h.out(tuple!["A"]).unwrap();
-        assert_eq!(h.rdp(&template!["A"]).unwrap(), Some(tuple!["A"]));
         cluster.shutdown();
     }
 
@@ -491,7 +586,7 @@ mod tests {
         let mut cluster =
             ThreadedCluster::start(Policy::allow_all(), PolicyParams::new(), 1, &[100], &[])
                 .unwrap();
-        let retry_interval = cluster.client_cfg.retry_interval;
+        let retry_interval = cluster.config.client.retry_interval;
         let h = cluster.handle(0);
         let parked = {
             let h = h.clone();
@@ -576,7 +671,7 @@ mod tests {
         let flooder = (cluster.n_replicas() + 1) as peats_netsim::NodeId;
         let flooding = Arc::new(AtomicBool::new(true));
         let flood = {
-            let (net, flooding) = (cluster.net.clone(), Arc::clone(&flooding));
+            let (net, flooding) = (cluster.fabric.net.clone(), Arc::clone(&flooding));
             std::thread::spawn(move || {
                 while flooding.load(Ordering::Relaxed) {
                     for _ in 0..128 {
@@ -594,7 +689,10 @@ mod tests {
             start.elapsed() < Duration::from_secs(8),
             "a flooded mailbox must not postpone the progress check"
         );
-        assert!(cluster.replicas[1].lock().view() >= 1, "view change fired");
+        assert!(
+            cluster.seats[1].replica.lock().view() >= 1,
+            "view change fired"
+        );
         assert_eq!(h.count(&template!["FLOOD", ?i]).unwrap(), 8);
         flooding.store(false, Ordering::Relaxed);
         flood.join().unwrap();
