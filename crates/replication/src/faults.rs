@@ -1,4 +1,15 @@
-//! Byzantine replica fault modes for the Fig. 2 experiments.
+//! Byzantine replica fault modes for the Fig. 2 experiments, and the
+//! harness-side wrapper that injects them.
+//!
+//! A [`Replica`] knows nothing of faults: it is the protocol `peatsd`
+//! deploys. The test harnesses (`Cluster` on either fabric, `SimCluster`)
+//! drive each replica through a [`Faulty`], which rewrites what the
+//! replica's `step` and progress timeout return as its [`FaultMode`] says.
+//! A new fault mode is a variant here and an arm in the rewrite.
+
+use crate::messages::{Message, OpResult, ReplicaId, Seq};
+use crate::replica::{Dest, Replica};
+use crate::runtime::Node;
 
 /// How a replica misbehaves.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
@@ -23,4 +34,421 @@ pub enum FaultMode {
     /// cluster's mailboxes are never quiet — the starvation scenario for a
     /// progress check that only fires after a fully idle period.
     Flooder,
+}
+
+/// A replica under fault injection: what the harnesses drive in place of
+/// a bare [`Replica`]. A `Crashed` replica processes nothing; every other
+/// mode runs the protocol and rewrites its outputs.
+#[derive(Debug)]
+pub struct Faulty {
+    /// The protocol state machine.
+    pub replica: Replica,
+    /// The fault injected into it.
+    pub fault: FaultMode,
+}
+
+impl Faulty {
+    /// `replica`, following the protocol until a fault is set.
+    pub fn new(replica: Replica) -> Self {
+        Faulty {
+            replica,
+            fault: FaultMode::Correct,
+        }
+    }
+
+    /// The fault's rewrite of what one `step` or timeout returned.
+    fn rewrite(&self, out: Vec<(Dest, Message)>) -> Vec<(Dest, Message)> {
+        let cfg = self.replica.config();
+        match &self.fault {
+            FaultMode::Correct => out,
+            FaultMode::Crashed | FaultMode::Mute => Vec::new(),
+            FaultMode::CorruptReplies => out
+                .into_iter()
+                .flat_map(|(dest, msg)| match msg {
+                    // Forge the result AND inflate the claimed seq: a
+                    // Byzantine replica lying about its execution point must
+                    // neither win a vote nor drag correct clients' read
+                    // watermarks to u64::MAX (which would force every future
+                    // fast read into the ordered fallback). Each reply also
+                    // grows a spurious forged Wake — an attempt to complete
+                    // a blocked invoke that never matched.
+                    Message::Reply {
+                        view,
+                        req_id,
+                        replica,
+                        ..
+                    } => vec![
+                        (
+                            dest,
+                            Message::Reply {
+                                view,
+                                seq: u64::MAX,
+                                req_id,
+                                replica,
+                                result: OpResult::Denied("corrupted".into()),
+                            },
+                        ),
+                        (
+                            dest,
+                            Message::Wake {
+                                req_id,
+                                seq: u64::MAX,
+                                result: OpResult::Tuple(None),
+                                replica,
+                            },
+                        ),
+                    ],
+                    Message::ReadReply {
+                        req_id, replica, ..
+                    } => {
+                        let result = OpResult::Denied("corrupted".into());
+                        vec![(
+                            dest,
+                            Message::ReadReply {
+                                req_id,
+                                seq: u64::MAX,
+                                digest: result.digest(),
+                                result,
+                                replica,
+                            },
+                        )]
+                    }
+                    // A genuine wake turns into a lie about both the match
+                    // seq and the tuple.
+                    Message::Wake {
+                        req_id, replica, ..
+                    } => vec![(
+                        dest,
+                        Message::Wake {
+                            req_id,
+                            seq: u64::MAX,
+                            result: OpResult::Denied("corrupted".into()),
+                            replica,
+                        },
+                    )],
+                    other => vec![(dest, other)],
+                })
+                .collect(),
+            FaultMode::EquivocatingPrimary => out
+                .into_iter()
+                .flat_map(|(dest, msg)| match (dest, &msg) {
+                    (
+                        Dest::AllReplicas,
+                        Message::PrePrepare {
+                            view,
+                            seq,
+                            requests,
+                        },
+                    ) => {
+                        // Send conflicting assignments to odd/even replicas.
+                        let mut forged = requests.clone();
+                        if let Some(first) = forged.first_mut() {
+                            first.req_id = first.req_id.wrapping_add(1_000_000);
+                        }
+                        let mut msgs = Vec::new();
+                        for r in 0..cfg.n as ReplicaId {
+                            if r == cfg.id {
+                                continue;
+                            }
+                            let m = if r % 2 == 0 {
+                                Message::PrePrepare {
+                                    view: *view,
+                                    seq: *seq,
+                                    requests: requests.clone(),
+                                }
+                            } else {
+                                Message::PrePrepare {
+                                    view: *view,
+                                    seq: *seq,
+                                    requests: forged.clone(),
+                                }
+                            };
+                            msgs.push((Dest::Replica(r), m));
+                        }
+                        msgs
+                    }
+                    _ => vec![(dest, msg)],
+                })
+                .collect(),
+            FaultMode::Flooder => {
+                // Correct outputs plus one junk prepare vote broadcast per
+                // processed input: a self-sustaining noise loop once two
+                // flooders feed each other. The vote lands in a batchless
+                // slot at a sequence number no real assignment reaches, so
+                // it can never certify anything.
+                let mut out = out;
+                out.push((
+                    Dest::AllReplicas,
+                    Message::Prepare {
+                        view: self.replica.view(),
+                        seq: u64::MAX,
+                        digest: [0u8; 32],
+                        replica: cfg.id,
+                    },
+                ));
+                out
+            }
+        }
+    }
+}
+
+impl Node for Faulty {
+    fn step(&mut self, from: u64, msg: Message) -> Vec<(Dest, Message)> {
+        if self.fault == FaultMode::Crashed {
+            return Vec::new();
+        }
+        let out = self.replica.step(from, msg);
+        self.rewrite(out)
+    }
+
+    /// A mute replica casts no view-change vote either: it would count
+    /// towards a view it then never speaks in.
+    fn on_progress_timeout(&mut self) -> Vec<(Dest, Message)> {
+        if matches!(self.fault, FaultMode::Crashed | FaultMode::Mute) {
+            return Vec::new();
+        }
+        let out = self.replica.on_progress_timeout();
+        self.rewrite(out)
+    }
+
+    fn sync(&mut self) {
+        self.replica.sync();
+    }
+
+    fn last_exec(&self) -> Seq {
+        self.replica.last_exec()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::messages::{batch_digest, Request};
+    use crate::replica::ReplicaConfig;
+    use crate::service::PeatsService;
+    use peats_policy::{OpCall, Policy, PolicyParams};
+    use peats_tuplespace::tuple;
+
+    const CLIENT_NODE: u64 = 4;
+    const CLIENT_PID: u64 = 100;
+
+    fn faulty(id: ReplicaId, fault: FaultMode) -> Faulty {
+        let service = PeatsService::new(Policy::allow_all(), PolicyParams::new()).unwrap();
+        let registry = [(CLIENT_NODE, CLIENT_PID)].into_iter().collect();
+        let mut node = Faulty::new(Replica::new(
+            ReplicaConfig::new(id, 4, 1),
+            service,
+            registry,
+        ));
+        node.fault = fault;
+        node
+    }
+
+    fn req(i: u64) -> Request {
+        Request::call(CLIENT_PID, i, OpCall::out(tuple!["T", i as i64]))
+    }
+
+    /// Walks backup `node` through slot 1 holding `batch`: the primary's
+    /// pre-prepare, then prepares and commits from replicas 0 and 2.
+    fn commit_slot_one(node: &mut Faulty, batch: &[Request]) -> Vec<(Dest, Message)> {
+        let digest = batch_digest(batch);
+        let mut out = node.step(
+            0,
+            Message::PrePrepare {
+                view: 0,
+                seq: 1,
+                requests: batch.to_vec(),
+            },
+        );
+        for replica in [0, 2] {
+            let prepare = Message::Prepare {
+                view: 0,
+                seq: 1,
+                digest,
+                replica,
+            };
+            out.extend(node.step(u64::from(replica), prepare));
+        }
+        for replica in [0, 2] {
+            let commit = Message::Commit {
+                view: 0,
+                seq: 1,
+                digest,
+                replica,
+            };
+            out.extend(node.step(u64::from(replica), commit));
+        }
+        out
+    }
+
+    #[test]
+    fn equivocating_primary_sends_each_backup_its_own_pre_prepare() {
+        let mut node = faulty(0, FaultMode::EquivocatingPrimary);
+        let out = node.step(CLIENT_NODE, Message::Request(req(1)));
+        let digests: Vec<_> = out
+            .iter()
+            .map(|(dest, msg)| match (dest, msg) {
+                (
+                    Dest::Replica(r),
+                    Message::PrePrepare {
+                        seq: 1, requests, ..
+                    },
+                ) => (*r, batch_digest(requests)),
+                other => panic!("unexpected output {other:?}"),
+            })
+            .collect();
+        let backups: Vec<ReplicaId> = digests.iter().map(|(r, _)| *r).collect();
+        assert_eq!(backups, vec![1, 2, 3], "one pre-prepare per backup");
+        let to = |r: ReplicaId| digests[r as usize - 1].1;
+        assert_eq!(to(2), batch_digest(&[req(1)]), "even backups get the batch");
+        assert_eq!(to(1), to(3), "odd backups get one forgery");
+        assert_ne!(to(1), to(2), "odd and even backups disagree");
+    }
+
+    #[test]
+    fn flooder_appends_one_junk_prepare_per_call() {
+        let mut node = faulty(1, FaultMode::Flooder);
+        let mut twin = faulty(1, FaultMode::Correct);
+        let junk = (
+            Dest::AllReplicas,
+            Message::Prepare {
+                view: 0,
+                seq: u64::MAX,
+                digest: [0u8; 32],
+                replica: 1,
+            },
+        );
+        let batch = [req(1)];
+        let inputs = [
+            Message::Request(req(1)),
+            Message::PrePrepare {
+                view: 0,
+                seq: 1,
+                requests: batch.to_vec(),
+            },
+        ];
+        for msg in inputs {
+            let mut expected = twin.step(0, msg.clone());
+            expected.push(junk.clone());
+            assert_eq!(node.step(0, msg), expected);
+        }
+        let mut expected = twin.on_progress_timeout();
+        expected.push(junk);
+        assert_eq!(node.on_progress_timeout(), expected);
+    }
+
+    #[test]
+    fn corrupt_replies_forges_every_client_bound_message() {
+        let node = faulty(2, FaultMode::CorruptReplies);
+        let to_client = Dest::Client(CLIENT_NODE);
+        let honest = OpResult::Tuple(Some(tuple!["T", 1]));
+        let prepare = Message::Prepare {
+            view: 0,
+            seq: 3,
+            digest: [7u8; 32],
+            replica: 2,
+        };
+        let out = node.rewrite(vec![
+            (
+                to_client,
+                Message::Reply {
+                    view: 0,
+                    seq: 3,
+                    req_id: 9,
+                    replica: 2,
+                    result: OpResult::Done,
+                },
+            ),
+            (
+                to_client,
+                Message::ReadReply {
+                    req_id: 10,
+                    seq: 3,
+                    digest: honest.digest(),
+                    result: honest.clone(),
+                    replica: 2,
+                },
+            ),
+            (
+                to_client,
+                Message::Wake {
+                    req_id: 11,
+                    seq: 3,
+                    result: honest,
+                    replica: 2,
+                },
+            ),
+            (Dest::AllReplicas, prepare.clone()),
+        ]);
+        let corrupted = OpResult::Denied("corrupted".into());
+        let expected = vec![
+            (
+                to_client,
+                Message::Reply {
+                    view: 0,
+                    seq: u64::MAX,
+                    req_id: 9,
+                    replica: 2,
+                    result: corrupted.clone(),
+                },
+            ),
+            (
+                to_client,
+                Message::Wake {
+                    req_id: 9,
+                    seq: u64::MAX,
+                    result: OpResult::Tuple(None),
+                    replica: 2,
+                },
+            ),
+            (
+                to_client,
+                Message::ReadReply {
+                    req_id: 10,
+                    seq: u64::MAX,
+                    digest: corrupted.digest(),
+                    result: corrupted.clone(),
+                    replica: 2,
+                },
+            ),
+            (
+                to_client,
+                Message::Wake {
+                    req_id: 11,
+                    seq: u64::MAX,
+                    result: corrupted,
+                    replica: 2,
+                },
+            ),
+            (Dest::AllReplicas, prepare),
+        ];
+        assert_eq!(out, expected);
+    }
+
+    #[test]
+    fn mute_replica_executes_but_sends_nothing() {
+        let mut node = faulty(1, FaultMode::Mute);
+        assert!(node.step(CLIENT_NODE, Message::Request(req(2))).is_empty());
+        assert!(commit_slot_one(&mut node, &[req(1)]).is_empty());
+        assert_eq!(node.last_exec(), 1, "a mute replica still executes");
+        // Request 2 is pending and unordered: a correct replica would vote
+        // for a view change here.
+        assert!(node.on_progress_timeout().is_empty());
+        assert_eq!(node.replica.footprint().view_votes, 0, "no vote cast");
+        assert_eq!(node.replica.view(), 0);
+    }
+
+    #[test]
+    fn crashed_replica_processes_nothing() {
+        let mut node = faulty(1, FaultMode::Crashed);
+        assert!(node.step(CLIENT_NODE, Message::Request(req(2))).is_empty());
+        assert!(commit_slot_one(&mut node, &[req(1)]).is_empty());
+        assert_eq!(node.last_exec(), 0);
+        assert_eq!(
+            node.replica.footprint().pending,
+            0,
+            "input never reached it"
+        );
+        assert!(node.on_progress_timeout().is_empty());
+    }
 }

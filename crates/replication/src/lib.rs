@@ -8,13 +8,16 @@
 //! * [`messages`] — the wire protocol with MAC-sealed envelopes
 //!   (authenticated channels);
 //! * [`replica`] — a sans-io PBFT-style replica state machine
-//!   (pre-prepare / prepare / commit, simplified view change);
+//!   (pre-prepare / prepare / commit, simplified view change), one file
+//!   per state machine it contains: ordering, checkpoints and state
+//!   transfer, view change, durability;
 //! * [`client`] — client-side `f+1` reply voting;
-//! * [`faults`] — injectable replica fault modes;
+//! * [`faults`] — injectable replica fault modes and [`Faulty`], the
+//!   wrapper the test harnesses drive in place of a bare [`Replica`];
 //! * [`sim_harness`] — a deterministic simulated deployment
 //!   ([`SimCluster`]) for fault experiments;
 //! * [`runtime`] — the transport-generic deployment runtime: the replica
-//!   event loop ([`replica_main`]) and the concurrent client handle
+//!   event loop ([`replica_main`], generic over a [`Node`]) and the concurrent client handle
 //!   ([`ReplicatedPeats`]), written against `peats-netsim`'s
 //!   [`Transport`](peats_netsim::Transport) trait so the same code runs
 //!   over in-memory channels and over real TCP sockets (`peats-net`);
@@ -49,13 +52,13 @@ pub mod wal;
 pub use client::{
     BlockingPoll, BlockingSession, ClientSession, ReadPoll, ReadSession, WakeStreamSession,
 };
-pub use faults::FaultMode;
+pub use faults::{FaultMode, Faulty};
 pub use messages::{
     batch_digest, Message, OpResult, Registration, ReplicaId, ReplicaSnapshot, Request, RequestOp,
     Sealed, Seq, View, WaitKind,
 };
 pub use replica::{Dest, Replica, ReplicaConfig, ReplicaFootprint};
-pub use runtime::{replica_main, ship, ClientConfig, ReplicatedPeats, Subscription};
+pub use runtime::{replica_main, ship, ClientConfig, Node, ReplicatedPeats, Subscription};
 pub use service::PeatsService;
 pub use sim_harness::{FastRead, SimCluster};
 pub use threaded::{Cluster, ClusterConfig, Fabric, ThreadedCluster};

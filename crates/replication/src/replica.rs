@@ -15,9 +15,12 @@
 //! amortizes the three-phase round over the whole backlog.
 //!
 //! The state machine is *sans-io*: inputs are `(sender, Message)` pairs and
-//! timeout ticks; outputs are `(destination, Message)` pairs. The netsim
-//! driver (tests, fault experiments) and the threaded driver (benchmarks)
-//! both wrap it, so the protocol logic is exercised identically in both.
+//! timeout ticks; outputs are `(destination, Message)` pairs. Three drivers
+//! wrap it — the deterministic simulator ([`SimCluster`](crate::SimCluster)),
+//! the thread harness [`Cluster`](crate::Cluster) over channels or loopback
+//! sockets, and the `peatsd` daemon — so the protocol logic is exercised
+//! identically in all three. Fault injection is the harnesses' business
+//! ([`crate::faults`]); a replica only runs the protocol.
 //!
 //! **Checkpoints and garbage collection.** Every
 //! [`ReplicaConfig::checkpoint_interval`] executed slots a replica
@@ -41,7 +44,6 @@
 //! fault modes the experiments inject (crash, mute, equivocating primary,
 //! corrupt replies, flooding).
 
-use crate::faults::FaultMode;
 use crate::messages::{
     attestation_digest, batch_digest, Message, OpResult, ReplicaId, ReplicaSnapshot, ReplyRows,
     Request, RequestOp, Seq, View,
@@ -273,7 +275,6 @@ pub struct Replica {
     /// pure catch-up installs): the Merkle tree localizes *which* channels
     /// a rolled-back replica disagreed on, not just that it disagreed.
     diverged: Vec<BucketKey>,
-    fault: FaultMode,
 }
 
 impl Replica {
@@ -315,13 +316,12 @@ impl Replica {
             rollback_target: 0,
             store: None,
             diverged: Vec::new(),
-            fault: FaultMode::Correct,
         }
     }
 
-    /// Injects a fault mode (experiments only).
-    pub fn set_fault(&mut self, fault: FaultMode) {
-        self.fault = fault;
+    /// The static configuration.
+    pub fn config(&self) -> &ReplicaConfig {
+        &self.cfg
     }
 
     /// Current view.
@@ -375,34 +375,11 @@ impl Replica {
             ..RecoveryReport::default()
         };
         for (nth, snap) in recovery.snapshots.iter().enumerate() {
-            let mut restored = self.service.clone();
-            restored.restore(&snap.snapshot.space);
-            restored.restore_registrations(&snap.snapshot.registrations, snap.snapshot.next_reg);
-            let recomputed = attestation_digest(
-                restored.state_digest(),
-                snap.snapshot.client_registry.clone(),
-                snap.snapshot.replies.clone(),
-            );
-            if recomputed != snap.attested {
+            let Some(restored) = self.verified(&snap.snapshot, snap.attested) else {
                 report.fell_back = true;
                 continue;
-            }
-            self.service = restored;
-            self.client_registry = snap.snapshot.client_registry.iter().copied().collect();
-            self.replies = snap
-                .snapshot
-                .replies
-                .iter()
-                .map(|(client, per)| {
-                    (
-                        *client,
-                        per.iter()
-                            .map(|(req_id, seq, result)| (*req_id, (*seq, result.clone())))
-                            .collect(),
-                    )
-                })
-                .collect();
-            self.last_exec = snap.exec_seq;
+            };
+            self.adopt(snap.exec_seq, restored, &snap.snapshot);
             self.stable_seq = snap.stable_seq;
             self.stable_digest = Some(snap.stable_digest);
             report.snapshot_seq = Some(snap.stable_seq);
@@ -413,28 +390,12 @@ impl Replica {
         // first time (execution is deterministic), minus the outputs —
         // every reply this produces was already sent in a previous life,
         // and retransmissions re-serve it from the restored reply cache.
+        let mut sent_before = Vec::new();
         for (seq, batch) in recovery.replay_from(self.last_exec) {
-            for req in batch {
-                if self.executed_already(&req) {
-                    continue;
-                }
-                let result = match &req.op {
-                    RequestOp::Call(op) => self.service.execute(req.client, op),
-                    RequestOp::Register {
-                        template,
-                        kind,
-                        persistent,
-                    } => {
-                        self.service
-                            .register(req.client, req.req_id, template, *kind, *persistent)
-                    }
-                    RequestOp::Cancel { target } => self.service.cancel(req.client, *target),
-                };
-                self.record_reply(req.client, req.req_id, seq, result);
-                for wake in self.service.take_wakes() {
-                    self.record_reply(wake.client, wake.req_id, seq, wake.result);
-                }
+            for req in &batch {
+                self.execute(seq, req, &mut sent_before);
             }
+            sent_before.clear();
             self.last_exec = seq;
             report.replayed += 1;
         }
@@ -499,9 +460,6 @@ impl Replica {
     /// replicas may be sent at once; outputs for clients ([`Dest::Client`])
     /// must wait for [`sync`](Self::sync).
     pub fn step(&mut self, from: u64, msg: Message) -> Vec<(Dest, Message)> {
-        if matches!(self.fault, FaultMode::Crashed) {
-            return Vec::new();
-        }
         let mut out = Vec::new();
         match msg {
             Message::Request(req) => self.on_request(from, req, &mut out),
@@ -583,10 +541,7 @@ impl Replica {
             } => self.on_read_request(from, client, req_id, &op, &mut out),
             Message::Reply { .. } | Message::ReadReply { .. } | Message::Wake { .. } => {} // replicas ignore replies
         }
-        if matches!(self.fault, FaultMode::Mute) {
-            return Vec::new();
-        }
-        self.apply_output_faults(out)
+        out
     }
 
     /// `true` when the claimed sender id is consistent with the transport
@@ -983,59 +938,8 @@ impl Replica {
                 }
             }
             self.last_exec = next;
-            for req in batch {
-                // A request double-ordered across batches (Byzantine
-                // primary, or a view change re-placing a reported batch
-                // whose requests partially overlap another) executes only
-                // once — the first placement's result stands.
-                if self.executed_already(&req) {
-                    continue;
-                }
-                let result = match &req.op {
-                    RequestOp::Call(op) => self.service.execute(req.client, op),
-                    RequestOp::Register {
-                        template,
-                        kind,
-                        persistent,
-                    } => {
-                        self.service
-                            .register(req.client, req.req_id, template, *kind, *persistent)
-                    }
-                    RequestOp::Cancel { target } => self.service.cancel(req.client, *target),
-                };
-                self.record_reply(req.client, req.req_id, next, result.clone());
-                self.pending.retain(|r| *r != req);
-                if let Some(node) = self.client_node_of(req.client) {
-                    out.push((
-                        Dest::Client(node),
-                        Message::Reply {
-                            view: self.view,
-                            seq: next,
-                            req_id: req.req_id,
-                            replica: self.cfg.id,
-                            result,
-                        },
-                    ));
-                }
-                // Serve wakes fired by this request (an `out`/`cas` that
-                // matched parked waiters): the woken result overwrites
-                // each waiter's cached `Registered` reply at this slot —
-                // so a lost Wake is healed by retransmitting the original
-                // Register — and an unsolicited Wake pushes it now.
-                for wake in self.service.take_wakes() {
-                    self.record_reply(wake.client, wake.req_id, next, wake.result.clone());
-                    if let Some(node) = self.client_node_of(wake.client) {
-                        out.push((
-                            Dest::Client(node),
-                            Message::Wake {
-                                req_id: wake.req_id,
-                                seq: next,
-                                result: wake.result,
-                                replica: self.cfg.id,
-                            },
-                        ));
-                    }
-                }
+            for req in &batch {
+                self.execute(next, req, out);
             }
             // Checkpoint boundary: attest the post-execution state and try
             // to stabilize (our vote may be the 2f+1st).
@@ -1046,6 +950,62 @@ impl Replica {
         // Executed slots free the in-flight window: the primary drains any
         // backlog that accumulated while the window was full.
         self.try_assign(out);
+    }
+
+    /// Executes `req` at slot `seq`: dispatches it to the service, records
+    /// its reply and those of the waiters it woke, and pushes the `Reply`
+    /// and `Wake`s their clients get. A request double-ordered across
+    /// batches (Byzantine primary, or a view change re-placing a reported
+    /// batch whose requests partially overlap another) executes only once
+    /// — the first placement's result stands.
+    fn execute(&mut self, seq: Seq, req: &Request, out: &mut Vec<(Dest, Message)>) {
+        if self.executed_already(req) {
+            return;
+        }
+        let result = match &req.op {
+            RequestOp::Call(op) => self.service.execute(req.client, op),
+            RequestOp::Register {
+                template,
+                kind,
+                persistent,
+            } => self
+                .service
+                .register(req.client, req.req_id, template, *kind, *persistent),
+            RequestOp::Cancel { target } => self.service.cancel(req.client, *target),
+        };
+        self.record_reply(req.client, req.req_id, seq, result.clone());
+        self.pending.retain(|r| r != req);
+        if let Some(node) = self.client_node_of(req.client) {
+            out.push((
+                Dest::Client(node),
+                Message::Reply {
+                    view: self.view,
+                    seq,
+                    req_id: req.req_id,
+                    replica: self.cfg.id,
+                    result,
+                },
+            ));
+        }
+        // Serve wakes fired by this request (an `out`/`cas` that matched
+        // parked waiters): the woken result overwrites each waiter's cached
+        // `Registered` reply at this slot — so a lost Wake is healed by
+        // retransmitting the original Register — and an unsolicited Wake
+        // pushes it now.
+        for wake in self.service.take_wakes() {
+            self.record_reply(wake.client, wake.req_id, seq, wake.result.clone());
+            if let Some(node) = self.client_node_of(wake.client) {
+                out.push((
+                    Dest::Client(node),
+                    Message::Wake {
+                        req_id: wake.req_id,
+                        seq,
+                        result: wake.result,
+                        replica: self.cfg.id,
+                    },
+                ));
+            }
+        }
     }
 
     /// Makes every batch appended since the last sync durable: one fsync
@@ -1421,28 +1381,50 @@ impl Replica {
             if attesters <= self.cfg.f {
                 continue; // not yet vouched for by a correct replica
             }
-            let snapshot = &self.pending_snapshots[&sender].2;
-            let mut restored = self.service.clone();
-            restored.restore(&snapshot.space);
-            // Registrations restore before the digest recompute: the
-            // service digest covers the table, so a lying row set (or a
-            // forged arrival counter) fails verification right here.
-            restored.restore_registrations(&snapshot.registrations, snapshot.next_reg);
-            let recomputed = attestation_digest(
-                restored.state_digest(),
-                snapshot.client_registry.clone(),
-                snapshot.replies.clone(),
-            );
-            if recomputed != digest {
+            let Some(restored) = self.verified(&self.pending_snapshots[&sender].2, digest) else {
                 // Attested digest, lying payload: discard it (another
                 // sender's copy may still arrive under the same claim).
                 self.pending_snapshots.remove(&sender);
                 continue;
-            }
+            };
             let (_, _, snapshot) = self.pending_snapshots.remove(&sender).expect("present");
-            self.install_snapshot(seq, digest, restored, snapshot, out);
+            self.install_snapshot(seq, digest, restored, &snapshot, out);
             return;
         }
+    }
+
+    /// The service `snapshot` restores to, if it re-hashes to `attested`:
+    /// the check both state transfer and disk recovery make before they
+    /// install anything.
+    fn verified(&self, snapshot: &ReplicaSnapshot, attested: Digest) -> Option<PeatsService> {
+        let mut restored = self.service.clone();
+        restored.restore(&snapshot.space);
+        // Registrations restore before the digest recompute: the service
+        // digest covers the table, so a lying row set (or a forged arrival
+        // counter) fails verification right here.
+        restored.restore_registrations(&snapshot.registrations, snapshot.next_reg);
+        let recomputed = attestation_digest(
+            restored.state_digest(),
+            snapshot.client_registry.clone(),
+            snapshot.replies.clone(),
+        );
+        (recomputed == attested).then_some(restored)
+    }
+
+    /// Takes a verified snapshot's service, client registry and retained
+    /// replies as ours, executed through `seq`.
+    fn adopt(&mut self, seq: Seq, service: PeatsService, snapshot: &ReplicaSnapshot) {
+        self.service = service;
+        self.client_registry = snapshot.client_registry.iter().copied().collect();
+        self.replies = snapshot
+            .replies
+            .iter()
+            .map(|(client, per)| {
+                let per = per.iter().map(|(id, s, r)| (*id, (*s, r.clone())));
+                (*client, per.collect())
+            })
+            .collect();
+        self.last_exec = seq;
     }
 
     /// Adopts a verified snapshot: replaces the service and per-client
@@ -1456,7 +1438,7 @@ impl Replica {
         seq: Seq,
         digest: Digest,
         restored: PeatsService,
-        snapshot: ReplicaSnapshot,
+        snapshot: &ReplicaSnapshot,
         out: &mut Vec<(Dest, Message)>,
     ) {
         if seq <= self.last_exec {
@@ -1472,21 +1454,7 @@ impl Replica {
             self.diverged = Vec::new();
         }
         self.rollback_target = 0;
-        self.service = restored;
-        self.client_registry = snapshot.client_registry.into_iter().collect();
-        self.replies = snapshot
-            .replies
-            .into_iter()
-            .map(|(client, per)| {
-                (
-                    client,
-                    per.into_iter()
-                        .map(|(req_id, seq, result)| (req_id, (seq, result)))
-                        .collect(),
-                )
-            })
-            .collect();
-        self.last_exec = seq;
+        self.adopt(seq, restored, snapshot);
         self.record_checkpoint_vote(seq, digest, self.cfg.id);
         // The history this jumped over never went through our log, so only
         // a snapshot makes the disk reach `last_exec` again — whatever the
@@ -1518,9 +1486,6 @@ impl Replica {
     /// pending but execution has not advanced — the PBFT view-change
     /// trigger. Returns the messages to send.
     pub fn on_progress_timeout(&mut self) -> Vec<(Dest, Message)> {
-        if matches!(self.fault, FaultMode::Crashed | FaultMode::Mute) {
-            return Vec::new();
-        }
         let mut msgs = Vec::new();
         // Still waiting for a snapshot (behind a stable checkpoint, or
         // rolling back from proven divergence): the earlier FetchState (or
@@ -1535,7 +1500,7 @@ impl Replica {
             ));
         }
         if self.pending.is_empty() && self.slots.values().all(|s| s.executed || s.batch.is_none()) {
-            return self.apply_output_faults(msgs);
+            return msgs;
         }
         // Escalating view target: a repeated timeout means the view we last
         // voted for never made progress — its primary may be faulty too, so
@@ -1588,7 +1553,7 @@ impl Replica {
             },
             self.cfg.id,
         );
-        self.apply_output_faults(msgs)
+        msgs
     }
 
     /// Stores a view-change vote, bounding the number of tracked view
@@ -1927,139 +1892,6 @@ impl Replica {
         self.pending
             .retain(|req| !assigned.contains(&(req.client, req.req_id)));
         self.view_votes.retain(|v, _| *v > view);
-    }
-
-    fn apply_output_faults(&self, out: Vec<(Dest, Message)>) -> Vec<(Dest, Message)> {
-        match &self.fault {
-            FaultMode::Correct => out,
-            FaultMode::Crashed | FaultMode::Mute => Vec::new(),
-            FaultMode::CorruptReplies => out
-                .into_iter()
-                .flat_map(|(dest, msg)| match msg {
-                    // Forge the result AND inflate the claimed seq: a
-                    // Byzantine replica lying about its execution point must
-                    // neither win a vote nor drag correct clients' read
-                    // watermarks to u64::MAX (which would force every future
-                    // fast read into the ordered fallback). Each reply also
-                    // grows a spurious forged Wake — an attempt to complete
-                    // a blocked invoke that never matched.
-                    Message::Reply {
-                        view,
-                        req_id,
-                        replica,
-                        ..
-                    } => vec![
-                        (
-                            dest,
-                            Message::Reply {
-                                view,
-                                seq: u64::MAX,
-                                req_id,
-                                replica,
-                                result: OpResult::Denied("corrupted".into()),
-                            },
-                        ),
-                        (
-                            dest,
-                            Message::Wake {
-                                req_id,
-                                seq: u64::MAX,
-                                result: OpResult::Tuple(None),
-                                replica,
-                            },
-                        ),
-                    ],
-                    Message::ReadReply {
-                        req_id, replica, ..
-                    } => {
-                        let result = OpResult::Denied("corrupted".into());
-                        vec![(
-                            dest,
-                            Message::ReadReply {
-                                req_id,
-                                seq: u64::MAX,
-                                digest: result.digest(),
-                                result,
-                                replica,
-                            },
-                        )]
-                    }
-                    // A genuine wake turns into a lie about both the match
-                    // seq and the tuple.
-                    Message::Wake {
-                        req_id, replica, ..
-                    } => vec![(
-                        dest,
-                        Message::Wake {
-                            req_id,
-                            seq: u64::MAX,
-                            result: OpResult::Denied("corrupted".into()),
-                            replica,
-                        },
-                    )],
-                    other => vec![(dest, other)],
-                })
-                .collect(),
-            FaultMode::EquivocatingPrimary => out
-                .into_iter()
-                .flat_map(|(dest, msg)| match (dest, &msg) {
-                    (
-                        Dest::AllReplicas,
-                        Message::PrePrepare {
-                            view,
-                            seq,
-                            requests,
-                        },
-                    ) => {
-                        // Send conflicting assignments to odd/even replicas.
-                        let mut forged = requests.clone();
-                        if let Some(first) = forged.first_mut() {
-                            first.req_id = first.req_id.wrapping_add(1_000_000);
-                        }
-                        let mut msgs = Vec::new();
-                        for r in 0..self.cfg.n as ReplicaId {
-                            if r == self.cfg.id {
-                                continue;
-                            }
-                            let m = if r % 2 == 0 {
-                                Message::PrePrepare {
-                                    view: *view,
-                                    seq: *seq,
-                                    requests: requests.clone(),
-                                }
-                            } else {
-                                Message::PrePrepare {
-                                    view: *view,
-                                    seq: *seq,
-                                    requests: forged.clone(),
-                                }
-                            };
-                            msgs.push((Dest::Replica(r), m));
-                        }
-                        msgs
-                    }
-                    _ => vec![(dest, msg)],
-                })
-                .collect(),
-            FaultMode::Flooder => {
-                // Correct outputs plus one junk prepare vote broadcast per
-                // processed input: a self-sustaining noise loop once two
-                // flooders feed each other. The vote lands in a batchless
-                // slot at a sequence number no real assignment reaches, so
-                // it can never certify anything.
-                let mut out = out;
-                out.push((
-                    Dest::AllReplicas,
-                    Message::Prepare {
-                        view: self.view,
-                        seq: u64::MAX,
-                        digest: [0u8; 32],
-                        replica: self.cfg.id,
-                    },
-                ));
-                out
-            }
-        }
     }
 }
 
@@ -3280,5 +3112,50 @@ mod tests {
         assert_eq!(reply_ids(&out), vec![1]);
         assert_eq!((p.footprint().wal_appends, p.footprint().wal_syncs), (1, 1));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Runs a durable primary through slots 1..=8, persisting a snapshot at
+    /// seq 4 and one at seq 8 (whose attestation is forged when
+    /// `forge_at_8`), then recovers a fresh replica from its data dir.
+    fn recover_from_two_snapshots(tag: &str, forge_at_8: bool) -> (RecoveryReport, Replica) {
+        let (mut p, dir) = mk_durable_primary(tag);
+        for seq in 1..=8 {
+            p.on_message(CLIENT_NODE, Message::Request(req(seq)));
+            commit_slot(&mut p, seq, &[req(seq)]);
+            if seq % 4 == 0 {
+                let honest = p.checkpoint_digest();
+                let snap = DurableSnapshot {
+                    stable_seq: seq,
+                    stable_digest: honest,
+                    exec_seq: seq,
+                    attested: if forge_at_8 && seq == 8 {
+                        [0xAA; 32]
+                    } else {
+                        honest
+                    },
+                    snapshot: p.build_snapshot(),
+                };
+                p.store.as_mut().unwrap().persist_checkpoint(&snap).unwrap();
+            }
+        }
+        drop(p);
+        let (store, recovery) = DurableStore::open(&dir, Default::default()).unwrap();
+        let mut fresh = mk_primary(1, 2);
+        let report = fresh.restore_durable(store, recovery);
+        std::fs::remove_dir_all(&dir).unwrap();
+        (report, fresh)
+    }
+
+    #[test]
+    fn recovery_falls_back_past_a_snapshot_whose_attestation_fails() {
+        let (report, forged) = recover_from_two_snapshots("fallback-forged", true);
+        assert!(report.fell_back, "{report:?}");
+        assert_eq!(report.snapshot_seq, Some(4));
+        assert_eq!((report.replayed, report.last_exec), (4, 8));
+        let (report, honest) = recover_from_two_snapshots("fallback-honest", false);
+        assert!(!report.fell_back, "{report:?}");
+        assert_eq!(report.snapshot_seq, Some(8));
+        assert_eq!((report.replayed, report.last_exec), (0, 8));
+        assert_eq!(forged.state_digest(), honest.state_digest());
     }
 }

@@ -125,7 +125,53 @@ pub fn ship<T: Transport>(
 /// pass.
 const MAX_PASS: usize = 64;
 
-/// The replica event loop: drives one [`Replica`] state machine from a
+/// What a replica's driver feeds: the state machine's inputs and outputs,
+/// plus the progress check. A bare [`Replica`] is one (what `peatsd`
+/// runs); a test harness wraps a replica in its fault injection.
+pub trait Node {
+    /// Handles one authenticated message ([`Replica::step`]).
+    fn step(&mut self, from: u64, msg: Message) -> Vec<(Dest, Message)>;
+    /// Fires the progress timeout ([`Replica::on_progress_timeout`]).
+    fn on_progress_timeout(&mut self) -> Vec<(Dest, Message)>;
+    /// Makes what the steps executed durable ([`Replica::sync`]).
+    fn sync(&mut self);
+    /// Last executed sequence number.
+    fn last_exec(&self) -> Seq;
+
+    /// The periodic progress check: fires the timeout only when
+    /// `last_exec` has not moved since the previous check, whose value
+    /// `seen` carries from one call to the next.
+    fn check_progress(&mut self, seen: &mut Seq) -> Vec<(Dest, Message)> {
+        let last = self.last_exec();
+        let stalled = last == *seen;
+        *seen = last;
+        if stalled {
+            self.on_progress_timeout()
+        } else {
+            Vec::new()
+        }
+    }
+}
+
+impl Node for Replica {
+    fn step(&mut self, from: u64, msg: Message) -> Vec<(Dest, Message)> {
+        Replica::step(self, from, msg)
+    }
+
+    fn on_progress_timeout(&mut self) -> Vec<(Dest, Message)> {
+        Replica::on_progress_timeout(self)
+    }
+
+    fn sync(&mut self) {
+        Replica::sync(self);
+    }
+
+    fn last_exec(&self) -> Seq {
+        Replica::last_exec(self)
+    }
+}
+
+/// The replica event loop: drives one replica [`Node`] from a
 /// transport mailbox until `stop` is set or the transport disconnects, then
 /// hands the mailbox back (a harness respawns the replica on it).
 /// This is the loop a replica thread runs in [`ThreadedCluster`] and the
@@ -134,7 +180,7 @@ const MAX_PASS: usize = 64;
 ///
 /// The loop works in *passes*. It blocks for one envelope, then takes
 /// whatever else is already waiting (up to `MAX_PASS`, 64), feeding each
-/// message to [`Replica::step`] and collecting the outputs. Then it
+/// message to [`Node::step`] and collecting the outputs. Then it
 /// flushes: outputs for other replicas (votes, checkpoints) are shipped,
 /// the write-ahead log is synced — once, however many batches the pass
 /// executed — and only then are the outputs for clients shipped. A client
@@ -143,7 +189,7 @@ const MAX_PASS: usize = 64;
 ///
 /// [`ThreadedCluster`]: crate::ThreadedCluster
 pub fn replica_main<T: Transport>(
-    replica: Arc<parking_lot::Mutex<Replica>>,
+    replica: Arc<parking_lot::Mutex<impl Node>>,
     keys: KeyTable,
     mailbox: T::Mailbox,
     net: T,
@@ -169,17 +215,7 @@ pub fn replica_main<T: Transport>(
         }
         let now = Instant::now();
         if now >= next_check {
-            let outputs = {
-                let mut replica = replica.lock();
-                let last = replica.last_exec();
-                let outputs = if last == last_seen_exec {
-                    replica.on_progress_timeout()
-                } else {
-                    Vec::new()
-                };
-                last_seen_exec = last;
-                outputs
-            };
+            let outputs = replica.lock().check_progress(&mut last_seen_exec);
             ship(&net, &keys, me, n, outputs);
             next_check = Instant::now() + progress_period;
         }

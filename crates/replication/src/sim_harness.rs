@@ -13,10 +13,10 @@
 //! that are step-driven sessions instead of handles.
 
 use crate::client::{BlockingPoll, BlockingSession, ClientSession, ReadPoll, ReadSession};
-use crate::faults::FaultMode;
+use crate::faults::{FaultMode, Faulty};
 use crate::messages::{Message, OpResult, ReplicaId, Sealed, Seq, WaitKind};
 use crate::replica::{Dest, Replica, ReplicaConfig};
-use crate::runtime::{seal_outputs, ReplyEnvelope};
+use crate::runtime::{seal_outputs, Node, ReplyEnvelope};
 use crate::service::PeatsService;
 use peats_auth::KeyTable;
 use peats_codec::Encode;
@@ -33,7 +33,7 @@ const PROGRESS_TIMER: u64 = 1;
 const PROGRESS_PERIOD: u64 = 4_000;
 
 struct ReplicaActor {
-    replica: Rc<RefCell<Replica>>,
+    node: Rc<RefCell<Faulty>>,
     keys: KeyTable,
     n_replicas: usize,
     last_seen_exec: u64,
@@ -56,7 +56,12 @@ impl Actor for ReplicaActor {
         let Some((sender, msg)) = Sealed::open_bytes(&self.keys, payload) else {
             return; // garbage or bad MAC: drop
         };
-        let outputs = self.replica.borrow_mut().on_message(sender, msg);
+        let outputs = {
+            let mut node = self.node.borrow_mut();
+            let outputs = node.step(sender, msg);
+            node.sync();
+            outputs
+        };
         self.ship(ctx, outputs);
     }
 
@@ -64,17 +69,10 @@ impl Actor for ReplicaActor {
         if token != PROGRESS_TIMER {
             return;
         }
-        let (last_exec, outputs) = {
-            let mut replica = self.replica.borrow_mut();
-            let last = replica.last_exec();
-            let outputs = if last == self.last_seen_exec {
-                replica.on_progress_timeout()
-            } else {
-                Vec::new()
-            };
-            (last, outputs)
-        };
-        self.last_seen_exec = last_exec;
+        let outputs = self
+            .node
+            .borrow_mut()
+            .check_progress(&mut self.last_seen_exec);
         self.ship(ctx, outputs);
         ctx.set_timer(PROGRESS_PERIOD, PROGRESS_TIMER);
     }
@@ -144,7 +142,7 @@ pub enum FastRead {
 /// ```
 pub struct SimCluster {
     net: SimNet,
-    replicas: Vec<Rc<RefCell<Replica>>>,
+    replicas: Vec<Rc<RefCell<Faulty>>>,
     clients: Vec<ClientSlot>,
     f: usize,
     step_budget: u64,
@@ -201,14 +199,11 @@ impl SimCluster {
         for id in 0..n_replicas {
             let service = PeatsService::new(policy.clone(), params.clone())
                 .expect("policy parameters are consistent");
-            let replica = Rc::new(RefCell::new(Replica::new(
-                mk_cfg(id as ReplicaId),
-                service,
-                registry.clone(),
-            )));
-            replicas.push(Rc::clone(&replica));
+            let replica = Replica::new(mk_cfg(id as ReplicaId), service, registry.clone());
+            let node = Rc::new(RefCell::new(Faulty::new(replica)));
+            replicas.push(Rc::clone(&node));
             net.add_node(Box::new(ReplicaActor {
-                replica,
+                node,
                 keys: KeyTable::new(id as u64, master.clone()),
                 n_replicas,
                 last_seen_exec: 0,
@@ -250,19 +245,22 @@ impl SimCluster {
 
     /// Injects a fault mode into replica `id`.
     pub fn set_fault(&mut self, id: ReplicaId, fault: FaultMode) {
-        self.replicas[id as usize].borrow_mut().set_fault(fault);
+        self.replicas[id as usize].borrow_mut().fault = fault;
     }
 
     /// The view each replica currently sits in.
     pub fn views(&self) -> Vec<u64> {
-        self.replicas.iter().map(|r| r.borrow().view()).collect()
+        self.replicas
+            .iter()
+            .map(|r| r.borrow().replica.view())
+            .collect()
     }
 
     /// State digests of all replicas (divergence check).
     pub fn state_digests(&self) -> Vec<peats_auth::Digest> {
         self.replicas
             .iter()
-            .map(|r| r.borrow().state_digest())
+            .map(|r| r.borrow().replica.state_digest())
             .collect()
     }
 
@@ -270,7 +268,7 @@ impl SimCluster {
     pub fn last_execs(&self) -> Vec<u64> {
         self.replicas
             .iter()
-            .map(|r| r.borrow().last_exec())
+            .map(|r| r.borrow().replica.last_exec())
             .collect()
     }
 
@@ -278,7 +276,7 @@ impl SimCluster {
     pub fn stable_seqs(&self) -> Vec<u64> {
         self.replicas
             .iter()
-            .map(|r| r.borrow().stable_seq())
+            .map(|r| r.borrow().replica.stable_seq())
             .collect()
     }
 
@@ -286,7 +284,7 @@ impl SimCluster {
     pub fn footprints(&self) -> Vec<crate::replica::ReplicaFootprint> {
         self.replicas
             .iter()
-            .map(|r| r.borrow().footprint())
+            .map(|r| r.borrow().replica.footprint())
             .collect()
     }
 

@@ -17,7 +17,7 @@
 //! The simulator ([`SimCluster`](crate::SimCluster)) is not an instance:
 //! its clients are step-driven sans-io sessions, not handles.
 
-use crate::faults::FaultMode;
+use crate::faults::{FaultMode, Faulty};
 use crate::replica::{
     Replica, ReplicaConfig, ReplicaFootprint, DEFAULT_BATCH_CAP, DEFAULT_CHECKPOINT_INTERVAL,
     DEFAULT_MAX_IN_FLIGHT,
@@ -102,9 +102,10 @@ pub trait Fabric: Sized {
 
 /// One replica: its state machine, stop flag, thread and endpoint.
 struct Seat<T: Transport> {
-    /// Shared with the replica's thread. Introspection locks it between
-    /// two passes of the loop, never waiting on a receive.
-    replica: Arc<parking_lot::Mutex<Replica>>,
+    /// The state machine under its fault injection, shared with the
+    /// replica's thread. Introspection locks it between two passes of the
+    /// loop, never waiting on a receive.
+    node: Arc<parking_lot::Mutex<Faulty>>,
     stop: Arc<AtomicBool>,
     net: T,
     /// The running loop; it hands its mailbox back when it stops.
@@ -168,11 +169,9 @@ impl<F: Fabric> Cluster<F> {
             config,
         };
         for id in 0..n_replicas {
-            let mut replica = cluster.build_replica(id)?;
-            if let Some(fault) = faults.get(id) {
-                replica.set_fault(fault.clone());
-            }
-            let seat = cluster.spawn(id, Arc::new(parking_lot::Mutex::new(replica)), None);
+            let mut node = Faulty::new(cluster.build_replica(id)?);
+            node.fault = faults.get(id).cloned().unwrap_or_default();
+            let seat = cluster.spawn(id, Arc::new(parking_lot::Mutex::new(node)), None);
             cluster.seats.push(seat);
         }
         Ok(cluster)
@@ -212,19 +211,19 @@ impl<F: Fabric> Cluster<F> {
     fn spawn(
         &mut self,
         id: usize,
-        replica: Arc<parking_lot::Mutex<Replica>>,
+        node: Arc<parking_lot::Mutex<Faulty>>,
         old: Option<FabricMailbox<F>>,
     ) -> Seat<F::Net> {
         let (net, mailbox) = self.fabric.endpoint(id as NodeId, old);
         let stop = Arc::new(AtomicBool::new(false));
         let thread = {
-            let (replica, net, stop) = (Arc::clone(&replica), net.clone(), Arc::clone(&stop));
+            let (node, net, stop) = (Arc::clone(&node), net.clone(), Arc::clone(&stop));
             let keys = KeyTable::new(id as u64, self.master.clone());
             let (n, period) = (3 * self.f + 1, self.config.progress_period);
-            std::thread::spawn(move || replica_main(replica, keys, mailbox, net, n, stop, period))
+            std::thread::spawn(move || replica_main(node, keys, mailbox, net, n, stop, period))
         };
         Seat {
-            replica,
+            node,
             stop,
             net,
             thread: Some(thread),
@@ -245,27 +244,27 @@ impl<F: Fabric> Cluster<F> {
     /// Injects a fault mode into a running replica (crash/recover
     /// experiments).
     pub fn set_fault(&self, id: usize, fault: FaultMode) {
-        self.seats[id].replica.lock().set_fault(fault);
+        self.seats[id].node.lock().fault = fault;
     }
 
     /// Replica `id`'s last executed sequence number.
     pub fn last_exec(&self, id: usize) -> u64 {
-        self.seats[id].replica.lock().last_exec()
+        self.seats[id].node.lock().replica.last_exec()
     }
 
     /// Replica `id`'s stable checkpoint.
     pub fn stable_seq(&self, id: usize) -> u64 {
-        self.seats[id].replica.lock().stable_seq()
+        self.seats[id].node.lock().replica.stable_seq()
     }
 
     /// Replica `id`'s memory footprint (bounded-memory assertions).
     pub fn replica_footprint(&self, id: usize) -> ReplicaFootprint {
-        self.seats[id].replica.lock().footprint()
+        self.seats[id].node.lock().replica.footprint()
     }
 
     /// Replica `id`'s service state digest (divergence checks).
     pub fn state_digest(&self, id: usize) -> peats_auth::Digest {
-        self.seats[id].replica.lock().state_digest()
+        self.seats[id].node.lock().replica.state_digest()
     }
 
     /// Stops replica `id` hard: its event loop ends and its endpoint is
@@ -300,10 +299,10 @@ impl<F: Fabric> Cluster<F> {
         let fresh = self
             .build_replica(id)
             .expect("policy parameters were already validated at start");
-        *self.seats[id].replica.lock() = fresh;
+        *self.seats[id].node.lock() = Faulty::new(fresh);
         let old = self.seats[id].parked.take();
-        let replica = Arc::clone(&self.seats[id].replica);
-        self.seats[id] = self.spawn(id, replica, old);
+        let node = Arc::clone(&self.seats[id].node);
+        self.seats[id] = self.spawn(id, node, old);
     }
 
     /// A crash-and-restart of replica `id`:
@@ -690,7 +689,7 @@ mod tests {
             "a flooded mailbox must not postpone the progress check"
         );
         assert!(
-            cluster.seats[1].replica.lock().view() >= 1,
+            cluster.seats[1].node.lock().replica.view() >= 1,
             "view change fired"
         );
         assert_eq!(h.count(&template!["FLOOD", ?i]).unwrap(), 8);
