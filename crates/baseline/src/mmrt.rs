@@ -1,5 +1,5 @@
 //! Reconstruction of the Malkhi–Merritt–Reiter–Taubenfeld strong consensus
-//! ([11] in the paper; §7's comparison point).
+//! (\[11\] in the paper; §7's comparison point).
 //!
 //! The paper states the construction's parameters — `2t+1` sticky bits,
 //! `n ≥ (t+1)(2t+1)` processes — without reproducing its pseudo-code. This

@@ -1,5 +1,5 @@
-//! Sticky bits protected by ACLs — the prior-art object model (§7, [9],
-//! [11], [13]).
+//! Sticky bits protected by ACLs — the prior-art object model (§7, \[9\],
+//! \[11\], \[13\]).
 //!
 //! A sticky bit holds `⊥` until the first `set(b)` with `b ∈ {0,1}`; later
 //! writes are no-ops. ACL protection means each bit has a list of processes

@@ -2,7 +2,7 @@
 //!
 //! The paper's only quantitative comparison is analytic: the number of
 //! shared-memory bits the PEATS strong consensus needs versus the sticky-bit
-//! constructions of Alon et al. [9] and Malkhi et al. [11]. These functions
+//! constructions of Alon et al. \[9\] and Malkhi et al. \[11\]. These functions
 //! evaluate those formulas; experiment E6 prints the comparison table and
 //! checks the paper's spot values (68 bits vs 1,764 sticky bits at
 //! `n = 13, t = 4`).
@@ -64,13 +64,13 @@ pub fn binomial(n: u64, k: u64) -> u128 {
 }
 
 /// Sticky bits required by the optimal-resilience algorithm of Alon et
-/// al. [9]: `(n + 1) · C(2t+1, t)` (the paper's §5.2 and footnote 4 —
+/// al. \[9\]: `(n + 1) · C(2t+1, t)` (the paper's §5.2 and footnote 4 —
 /// 1,764 sticky bits at `n = 13, t = 4`).
 pub fn alon_sticky_bits(n: u64, t: u64) -> u128 {
     u128::from(n + 1) * binomial(2 * t + 1, t)
 }
 
-/// Requirements of the Malkhi et al. [11] strong consensus (§7):
+/// Requirements of the Malkhi et al. \[11\] strong consensus (§7):
 /// `2t+1` sticky bits but `n ≥ (t+1)(2t+1)` processes.
 /// Returns `(min_processes, sticky_bits)`.
 pub fn mmrt_requirements(t: u64) -> (u64, u64) {

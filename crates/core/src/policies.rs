@@ -2,7 +2,10 @@
 //!
 //! Each function parses the corresponding figure's policy from the textual
 //! DSL (kept close to the paper's PROLOG-style notation) and returns the
-//! [`Policy`] AST. The figure-to-function map:
+//! [`Policy`] AST. The text is the committed corpus under
+//! `examples/policies/`, embedded at build time: the files CI checks with
+//! `peats policy check` are the policies the library enforces. The
+//! figure-to-function map:
 //!
 //! | Figure | Constructor | Used by |
 //! |--------|-------------|---------|
@@ -27,7 +30,7 @@ pub const SEQ: &str = "SEQ";
 pub const ANN: &str = "ANN";
 
 fn must_parse(src: &str) -> Policy {
-    parse_policy(src).expect("embedded policy text is valid")
+    parse_policy(src).expect("committed policy text is valid")
 }
 
 /// Fig. 3 — access policy of the weak consensus object (Alg. 1).
@@ -37,13 +40,9 @@ fn must_parse(src: &str) -> Policy {
 /// inserted, and nothing can remove it (the space behaves as a persistent
 /// object, §7).
 pub fn weak_consensus() -> Policy {
-    must_parse(
-        r#"
-        policy weak_consensus() {
-          rule Rcas: cas(<"DECISION", ?x>, <"DECISION", _>) :- formal(x);
-        }
-        "#,
-    )
+    must_parse(include_str!(
+        "../../../examples/policies/fig3_weak_consensus.peats"
+    ))
 }
 
 /// Fig. 4 — access policy of the strong binary consensus object (Alg. 2).
@@ -57,19 +56,9 @@ pub fn weak_consensus() -> Policy {
 ///   by `t+1` `PROPOSE` tuples for `v` (so at least one correct proposer),
 ///   and the template's value field must be formal (single decision).
 pub fn strong_consensus() -> Policy {
-    must_parse(
-        r#"
-        policy strong_consensus(n, t) {
-          rule Rrd: read(_) :- true;
-          rule Rout: out(<"PROPOSE", ?q, ?v>) :-
-            q == invoker() && v in {0, 1}
-            && !exists(<"PROPOSE", invoker(), _>);
-          rule Rcas: cas(<"DECISION", ?x, _>, <"DECISION", ?v, ?S>) :-
-            formal(x) && card(S) >= t + 1
-            && forall q in S { exists(<"PROPOSE", q, v>) };
-        }
-        "#,
-    )
+    must_parse(include_str!(
+        "../../../examples/policies/fig4_strong_consensus.peats"
+    ))
 }
 
 /// §5.3 — access policy of the strong `k`-valued consensus object.
@@ -77,19 +66,9 @@ pub fn strong_consensus() -> Policy {
 /// Identical to Fig. 4 except the proposal domain is `{0, …, k−1}`
 /// (parameter `k`). Resilience requires `n ≥ (k+1)t + 1` (Theorem 3).
 pub fn kvalued_consensus() -> Policy {
-    must_parse(
-        r#"
-        policy kvalued_consensus(n, t, k) {
-          rule Rrd: read(_) :- true;
-          rule Rout: out(<"PROPOSE", ?q, ?v>) :-
-            q == invoker() && v >= 0 && v < k
-            && !exists(<"PROPOSE", invoker(), _>);
-          rule Rcas: cas(<"DECISION", ?x, _>, <"DECISION", ?v, ?S>) :-
-            formal(x) && card(S) >= t + 1
-            && forall q in S { exists(<"PROPOSE", q, v>) };
-        }
-        "#,
-    )
+    must_parse(include_str!(
+        "../../../examples/policies/kvalued_consensus.peats"
+    ))
 }
 
 /// Fig. 5 — access policy of the default multivalued consensus object
@@ -105,25 +84,9 @@ pub fn kvalued_consensus() -> Policy {
 /// 3. every claimed proposer `q ∈ S_w` really has `⟨PROPOSE, q, w⟩` in the
 ///    space.
 pub fn default_consensus() -> Policy {
-    must_parse(
-        r#"
-        policy default_consensus(n, t) {
-          rule Rrd: read(_) :- true;
-          rule Rout: out(<"PROPOSE", ?q, ?v>) :-
-            q == invoker() && v != bottom
-            && !exists(<"PROPOSE", invoker(), _>);
-          rule RcasVal: cas(<"DECISION", ?x, _>, <"DECISION", ?v, ?S>) :-
-            formal(x) && v != bottom && card(S) >= t + 1
-            && forall q in S { exists(<"PROPOSE", q, v>) };
-          rule RcasBot: cas(<"DECISION", ?x, _>, <"DECISION", bottom, ?M>) :-
-            formal(x)
-            && card(union_vals(M)) >= n - t
-            && forall (w -> s) in M {
-                 card(s) <= t && forall q in s { exists(<"PROPOSE", q, w>) }
-               };
-        }
-        "#,
-    )
+    must_parse(include_str!(
+        "../../../examples/policies/fig5_default_consensus.peats"
+    ))
 }
 
 /// Fig. 7 — access policy of the lock-free universal construction (Alg. 3).
@@ -132,16 +95,9 @@ pub fn default_consensus() -> Policy {
 /// invocation field) only when position `pos − 1` is already occupied —
 /// the operation list grows gap-free, giving Lemma 1's invariants.
 pub fn lockfree_universal() -> Policy {
-    must_parse(
-        r#"
-        policy lockfree_universal() {
-          rule Rrd: read(_) :- true;
-          rule Rcas: cas(<"SEQ", ?pos, ?x>, <"SEQ", ?pos, ?inv>) :-
-            formal(x)
-            && (pos == 1 || exists(<"SEQ", pos - 1, _>));
-        }
-        "#,
-    )
+    must_parse(include_str!(
+        "../../../examples/policies/fig7_lockfree_universal.peats"
+    ))
 }
 
 /// Fig. 8 — access policy of the wait-free universal construction (Alg. 4).
@@ -156,21 +112,9 @@ pub fn lockfree_universal() -> Policy {
 /// Processes may only announce (`Rout`) and withdraw (`Rinp`) their own
 /// invocations.
 pub fn waitfree_universal() -> Policy {
-    must_parse(
-        r#"
-        policy waitfree_universal(n) {
-          rule Rrd: read(_) :- true;
-          rule Rout: out(<"ANN", ?i, _>) :- i == invoker();
-          rule Rinp: inp(<"ANN", ?i, _>) :- i == invoker();
-          rule Rcas: cas(<"SEQ", ?pos, ?x>, <"SEQ", ?pos, ?inv>) :-
-            formal(x)
-            && (pos == 1 || exists(<"SEQ", pos - 1, _>))
-            && ( !exists(<"ANN", pos % n, _>)
-               || exists(<"ANN", pos % n, ?y>) { exists(<"SEQ", _, y>) }
-               || exists(<"ANN", pos % n, inv>) );
-        }
-        "#,
-    )
+    must_parse(include_str!(
+        "../../../examples/policies/fig8_waitfree_universal.peats"
+    ))
 }
 
 #[cfg(test)]

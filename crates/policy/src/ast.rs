@@ -3,7 +3,7 @@
 //! A policy (§3) is a set of *rules*; each rule pairs an *invocation pattern*
 //! with a *logical expression*. An invocation is allowed iff some rule's
 //! pattern matches it and that rule's expression evaluates to true —
-//! otherwise it is denied (fail-safe defaults, [21] in the paper).
+//! otherwise it is denied (fail-safe defaults, \[21\] in the paper).
 
 use crate::invocation::{OpKind, ProcessId};
 use peats_tuplespace::{Footprint, Value};

@@ -1,4 +1,4 @@
-//! The reference monitor (§3, [19] in the paper).
+//! The reference monitor (§3, \[19\] in the paper).
 //!
 //! Given a [`Policy`], its [`PolicyParams`], an [`Invocation`] and a
 //! [`StateView`], the monitor decides whether the invocation may execute:

@@ -244,7 +244,7 @@ impl Request {
 
 /// Digest binding an ordered batch of requests — what prepare/commit votes
 /// certify: the *sequence* of requests assigned to one slot, not any single
-/// request. Hashes exactly the wire encoding ([`encode_batch`]), so batches
+/// request. Hashes exactly the batch's wire encoding, so batches
 /// with the same requests in a different order (or different boundaries)
 /// digest differently.
 pub fn batch_digest(batch: &[Request]) -> Digest {

@@ -1,8 +1,8 @@
 //! Transport-generic deployment runtime: the replica event loop and the
 //! concurrent client handle, written against the
-//! [`Transport`]/[`Mailbox`](peats_netsim::Mailbox) trait pair so the same
+//! [`Transport`]/[`Mailbox`] trait pair so the same
 //! code drives every wall-clock tier — in-memory channels
-//! ([`ThreadNet`](peats_netsim::ThreadNet), the fast verification tier) and
+//! ([`ThreadNet`], the fast verification tier) and
 //! real TCP sockets (`peats-net`, the `peatsd` deployment tier).
 //!
 //! Cloned [`ReplicatedPeats`] handles invoke **concurrently**, and a handle

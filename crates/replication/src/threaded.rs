@@ -53,7 +53,7 @@ pub struct ClusterConfig {
     /// Timing knobs handed to every client handle.
     pub client: ClientConfig,
     /// Root directory for durable replica state. When set, each replica
-    /// opens a [`DurableStore`](crate::wal::DurableStore) under
+    /// opens a [`DurableStore`] under
     /// `data_dir/replica-<id>`, recovers from any state found there, and
     /// write-ahead-logs every executed batch. `None` (the default) runs
     /// memory-only.

@@ -77,7 +77,8 @@ pub struct BucketDigest {
 
 /// Buckets on which two replicas' states disagree: present with different
 /// digests, or present on only one side. Both inputs must be sorted by key
-/// (as produced by [`HashForest::bucket_digests`]).
+/// (as [`SequentialSpace::bucket_digests`](crate::SequentialSpace::bucket_digests)
+/// produces them).
 pub fn diff_buckets(local: &[BucketDigest], remote: &[BucketDigest]) -> Vec<BucketKey> {
     let mut out = Vec::new();
     let (mut i, mut j) = (0, 0);

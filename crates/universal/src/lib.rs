@@ -2,7 +2,7 @@
 //!
 //! The universal constructions of §6 of Bessani et al., *Sharing Memory
 //! between Byzantine Processes using Policy-Enforced Tuple Spaces* — the
-//! proof that PEATS objects are universal [18]:
+//! proof that PEATS objects are universal \[18\]:
 //!
 //! * [`ObjectType`] — the typed-object model
 //!   `T = ⟨STATE, S, INVOKE, REPLY, apply⟩`;

@@ -12,7 +12,7 @@ use peats_tuplespace::Value;
 ///
 /// Determinism is essential: every correct process replays the same
 /// operation list and must reach the same state (Theorems 6–7). Emulating
-/// nondeterministic types needs the generalisation of Malkhi et al. [11],
+/// nondeterministic types needs the generalisation of Malkhi et al. \[11\],
 /// which is out of scope here (as in the paper).
 pub trait ObjectType: Send + Sync + 'static {
     /// Per-process replica state.

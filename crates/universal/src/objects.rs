@@ -3,7 +3,7 @@
 //! These are the classic shared-memory objects the universality result
 //! (Theorems 6–7) promises: registers, counters, read-modify-write
 //! primitives, queues, stacks, a key-value store, and the sticky bit of
-//! Plotkin [13] (the baseline object of §7). Each invocation is encoded as
+//! Plotkin \[13\] (the baseline object of §7). Each invocation is encoded as
 //! a `Value::List` whose first element is the operation name.
 
 use crate::object::ObjectType;
@@ -199,7 +199,7 @@ impl ObjectType for CasRegister {
     }
 }
 
-/// The sticky bit of Plotkin [13]: starts unset (`⊥`), the first `set`
+/// The sticky bit of Plotkin \[13\]: starts unset (`⊥`), the first `set`
 /// wins and every later `set` is a no-op. The persistent object the
 /// prior-art constructions (§7) are built from.
 #[derive(Clone, Copy, Debug, Default)]

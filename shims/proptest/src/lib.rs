@@ -1,8 +1,9 @@
 //! Offline shim for the subset of `proptest` used by this workspace.
 //!
-//! Provides the [`proptest!`] macro, the [`Strategy`] trait with
-//! `prop_map` / `prop_recursive` / `boxed`, [`prop_oneof!`], [`Just`],
-//! `any::<T>()`, integer-range and regex-character-class strategies, and
+//! Provides the [`proptest!`] macro, the [`Strategy`](strategy::Strategy)
+//! trait with `prop_map` / `prop_recursive` / `boxed`, [`prop_oneof!`],
+//! [`Just`](strategy::Just), `any::<T>()`, integer-range and
+//! regex-character-class strategies, and
 //! the [`collection`] combinators (`vec`, `btree_set`, `btree_map`).
 //!
 //! Differences from real proptest: generation is a fixed number of random

@@ -210,42 +210,6 @@ fn every_in_tree_policy_is_analysis_clean() {
     }
 }
 
-/// The committed `examples/policies/` corpus (checked by CI via
-/// `peats policy check`) must stay AST-identical to the embedded
-/// constructors — the canonical digest catches drift in either place.
-#[test]
-fn policy_corpus_files_match_embedded_constructors() {
-    use peats_policy::parse_policy;
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/policies");
-    let pairs = [
-        ("fig3_weak_consensus.peats", policies::weak_consensus()),
-        ("fig4_strong_consensus.peats", policies::strong_consensus()),
-        ("kvalued_consensus.peats", policies::kvalued_consensus()),
-        (
-            "fig5_default_consensus.peats",
-            policies::default_consensus(),
-        ),
-        (
-            "fig7_lockfree_universal.peats",
-            policies::lockfree_universal(),
-        ),
-        (
-            "fig8_waitfree_universal.peats",
-            policies::waitfree_universal(),
-        ),
-    ];
-    for (file, embedded) in pairs {
-        let path = format!("{dir}/{file}");
-        let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-        let parsed = parse_policy(&src).unwrap_or_else(|e| panic!("{path}: {e}"));
-        assert_eq!(
-            parsed.digest(),
-            embedded.digest(),
-            "{file} drifted from the embedded constructor"
-        );
-    }
-}
-
 /// What each shipped policy's state queries read, per operation kind —
 /// the shards `LocalPeats` locks beside an operation's own. Every query in
 /// the corpus leads with a constant channel, so no kind locks the whole
