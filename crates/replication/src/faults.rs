@@ -3,7 +3,7 @@
 //!
 //! A [`Replica`] knows nothing of faults: it is the protocol `peatsd`
 //! deploys. The test harnesses (`Cluster` on either fabric, `SimCluster`)
-//! drive each replica through a [`Faulty`], which rewrites what the
+//! drive each replica through a `Faulty`, which rewrites what the
 //! replica's `step` and progress timeout return as its [`FaultMode`] says.
 //! A new fault mode is a variant here and an arm in the rewrite.
 
@@ -40,16 +40,16 @@ pub enum FaultMode {
 /// a bare [`Replica`]. A `Crashed` replica processes nothing; every other
 /// mode runs the protocol and rewrites its outputs.
 #[derive(Debug)]
-pub struct Faulty {
+pub(crate) struct Faulty {
     /// The protocol state machine.
-    pub replica: Replica,
+    pub(crate) replica: Replica,
     /// The fault injected into it.
-    pub fault: FaultMode,
+    pub(crate) fault: FaultMode,
 }
 
 impl Faulty {
     /// `replica`, following the protocol until a fault is set.
-    pub fn new(replica: Replica) -> Self {
+    pub(crate) fn new(replica: Replica) -> Self {
         Faulty {
             replica,
             fault: FaultMode::Correct,
@@ -201,8 +201,8 @@ impl Node for Faulty {
         self.rewrite(out)
     }
 
-    /// A mute replica casts no view-change vote either: it would count
-    /// towards a view it then never speaks in.
+    /// A crashed or mute replica skips the timeout entirely: it neither
+    /// votes for a view change nor escalates its own view target.
     fn on_progress_timeout(&mut self) -> Vec<(Dest, Message)> {
         if matches!(self.fault, FaultMode::Crashed | FaultMode::Mute) {
             return Vec::new();

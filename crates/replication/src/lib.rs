@@ -12,12 +12,13 @@
 //!   per state machine it contains: ordering, checkpoints and state
 //!   transfer, view change, durability;
 //! * [`client`] — client-side `f+1` reply voting;
-//! * [`faults`] — injectable replica fault modes and [`Faulty`], the
+//! * [`faults`] — injectable replica fault modes and `Faulty`, the
 //!   wrapper the test harnesses drive in place of a bare [`Replica`];
 //! * [`sim_harness`] — a deterministic simulated deployment
 //!   ([`SimCluster`]) for fault experiments;
 //! * [`runtime`] — the transport-generic deployment runtime: the replica
-//!   event loop ([`replica_main`], generic over a [`Node`]) and the concurrent client handle
+//!   event loop ([`replica_main`], generic over a
+//!   [`Node`](runtime::Node)) and the concurrent client handle
 //!   ([`ReplicatedPeats`]), written against `peats-netsim`'s
 //!   [`Transport`](peats_netsim::Transport) trait so the same code runs
 //!   over in-memory channels and over real TCP sockets (`peats-net`);
@@ -52,13 +53,13 @@ pub mod wal;
 pub use client::{
     BlockingPoll, BlockingSession, ClientSession, ReadPoll, ReadSession, WakeStreamSession,
 };
-pub use faults::{FaultMode, Faulty};
+pub use faults::FaultMode;
 pub use messages::{
     batch_digest, Message, OpResult, Registration, ReplicaId, ReplicaSnapshot, Request, RequestOp,
     Sealed, Seq, View, WaitKind,
 };
 pub use replica::{Dest, Replica, ReplicaConfig, ReplicaFootprint};
-pub use runtime::{replica_main, ship, ClientConfig, Node, ReplicatedPeats, Subscription};
+pub use runtime::{replica_main, ship, ClientConfig, ReplicatedPeats, Subscription};
 pub use service::PeatsService;
 pub use sim_harness::{FastRead, SimCluster};
 pub use threaded::{Cluster, ClusterConfig, Fabric, ThreadedCluster};

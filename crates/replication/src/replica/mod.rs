@@ -317,7 +317,7 @@ impl Replica {
     }
 
     /// The static configuration.
-    pub fn config(&self) -> &ReplicaConfig {
+    pub(crate) fn config(&self) -> &ReplicaConfig {
         &self.cfg
     }
 

@@ -1,9 +1,8 @@
 //! Transport-generic deployment runtime: the replica event loop and the
-//! concurrent client handle, written against the
-//! [`Transport`]/[`Mailbox`] trait pair so the same
-//! code drives every wall-clock tier — in-memory channels
-//! ([`ThreadNet`], the fast verification tier) and
-//! real TCP sockets (`peats-net`, the `peatsd` deployment tier).
+//! concurrent client handle, written against the [`Transport`]/[`Mailbox`]
+//! trait pair so the same code drives every wall-clock tier — in-memory
+//! channels ([`ThreadNet`], the fast verification tier) and real TCP
+//! sockets (`peats-net`, the `peatsd` deployment tier).
 //!
 //! Cloned [`ReplicatedPeats`] handles invoke **concurrently**, and a handle
 //! has no thread of its own. Its node's mailbox sits behind a mutex in the

@@ -53,10 +53,9 @@ pub struct ClusterConfig {
     /// Timing knobs handed to every client handle.
     pub client: ClientConfig,
     /// Root directory for durable replica state. When set, each replica
-    /// opens a [`DurableStore`] under
-    /// `data_dir/replica-<id>`, recovers from any state found there, and
-    /// write-ahead-logs every executed batch. `None` (the default) runs
-    /// memory-only.
+    /// opens a [`DurableStore`] under `data_dir/replica-<id>`, recovers
+    /// from any state found there, and write-ahead-logs every executed
+    /// batch. `None` (the default) runs memory-only.
     pub data_dir: Option<std::path::PathBuf>,
     /// Durability knobs (fsync policy, segment size) applied when
     /// `data_dir` is set.
