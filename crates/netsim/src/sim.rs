@@ -207,11 +207,6 @@ impl SimNet {
         self.partitioned.remove(&(a.min(b), a.max(b)));
     }
 
-    /// Mutable access to a mounted actor (for instrumentation/inspection).
-    pub fn actor_mut(&mut self, id: NodeId) -> &mut dyn Actor {
-        &mut *self.actors[id as usize]
-    }
-
     fn push_event(&mut self, at: SimTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -276,6 +271,12 @@ impl SimNet {
     /// acting as a client), subject to the normal link model.
     pub fn inject(&mut self, from: NodeId, to: NodeId, payload: Vec<u8>) {
         self.flush_effects(vec![(from, to, payload)], Vec::new());
+    }
+
+    /// Schedules [`Actor::on_timer`] at `node` with `token` after `delay`
+    /// time units, as the node's own [`Context::set_timer`] would.
+    pub fn set_timer(&mut self, node: NodeId, delay: SimTime, token: u64) {
+        self.push_event(self.now + delay, EventKind::Timer { node, token });
     }
 
     /// Processes a single event. Returns `false` when the queue is empty.

@@ -34,6 +34,12 @@ pub enum FaultMode {
     /// cluster's mailboxes are never quiet — the starvation scenario for a
     /// progress check that only fires after a fully idle period.
     Flooder,
+    /// Answers clients as itself *and* as the next `f` replicas: every
+    /// client-bound `Reply`, `Wake` and `ReadReply` goes out `f+1` times,
+    /// each copy claiming another replica id and all with the same forged
+    /// result. One node, `f+1` matching claims: a client must count the
+    /// authenticated sender, not the claimed id, to outvote it.
+    ImpersonatesReplicas,
 }
 
 /// A replica under fault injection: what the harnesses drive in place of
@@ -64,7 +70,7 @@ impl Faulty {
             FaultMode::Crashed | FaultMode::Mute => Vec::new(),
             FaultMode::CorruptReplies => out
                 .into_iter()
-                .flat_map(|(dest, msg)| match msg {
+                .flat_map(|(dest, mut msg)| {
                     // Forge the result AND inflate the claimed seq: a
                     // Byzantine replica lying about its execution point must
                     // neither win a vote nor drag correct clients' read
@@ -72,61 +78,20 @@ impl Faulty {
                     // fast read into the ordered fallback). Each reply also
                     // grows a spurious forged Wake — an attempt to complete
                     // a blocked invoke that never matched.
-                    Message::Reply {
-                        view,
-                        req_id,
-                        replica,
-                        ..
-                    } => vec![
-                        (
-                            dest,
-                            Message::Reply {
-                                view,
-                                seq: u64::MAX,
-                                req_id,
-                                replica,
-                                result: OpResult::Denied("corrupted".into()),
-                            },
-                        ),
-                        (
-                            dest,
-                            Message::Wake {
-                                req_id,
-                                seq: u64::MAX,
-                                result: OpResult::Tuple(None),
-                                replica,
-                            },
-                        ),
-                    ],
-                    Message::ReadReply {
-                        req_id, replica, ..
-                    } => {
-                        let result = OpResult::Denied("corrupted".into());
-                        vec![(
-                            dest,
-                            Message::ReadReply {
-                                req_id,
-                                seq: u64::MAX,
-                                digest: result.digest(),
-                                result,
-                                replica,
-                            },
-                        )]
-                    }
-                    // A genuine wake turns into a lie about both the match
-                    // seq and the tuple.
-                    Message::Wake {
-                        req_id, replica, ..
-                    } => vec![(
-                        dest,
-                        Message::Wake {
+                    let wake = match msg {
+                        Message::Reply {
+                            req_id, replica, ..
+                        } => Some(Message::Wake {
                             req_id,
                             seq: u64::MAX,
-                            result: OpResult::Denied("corrupted".into()),
+                            result: OpResult::Tuple(None),
                             replica,
-                        },
-                    )],
-                    other => vec![(dest, other)],
+                        }),
+                        _ => None,
+                    };
+                    let corrupted = OpResult::Denied("corrupted".into());
+                    forge(&mut msg, &corrupted, |_, seq| *seq = u64::MAX);
+                    std::iter::once((dest, msg)).chain(wake.map(|wake| (dest, wake)))
                 })
                 .collect(),
             FaultMode::EquivocatingPrimary => out
@@ -188,7 +153,56 @@ impl Faulty {
                 ));
                 out
             }
+            FaultMode::ImpersonatesReplicas => {
+                let forged = OpResult::Tuple(Some(peats_tuplespace::tuple!["FORGED"]));
+                let as_id = |i| ((cfg.id as usize + i) % cfg.n) as ReplicaId;
+                out.into_iter()
+                    .flat_map(|(dest, msg)| match dest {
+                        // Clients are sent only `Reply`, `Wake` and
+                        // `ReadReply`.
+                        Dest::Client(_) => (0..=cfg.f)
+                            .map(|i| {
+                                let mut copy = msg.clone();
+                                forge(&mut copy, &forged, |replica, _| *replica = as_id(i));
+                                (dest, copy)
+                            })
+                            .collect(),
+                        _ => vec![(dest, msg)],
+                    })
+                    .collect()
+            }
         }
+    }
+}
+
+/// Rewrites a reply to a client in place: its result becomes `forged`
+/// (a `ReadReply`'s digest to match), and `edit` may change the replica
+/// and seq it claims. Other messages pass unchanged.
+fn forge(msg: &mut Message, forged: &OpResult, edit: impl FnOnce(&mut ReplicaId, &mut Seq)) {
+    if let Message::Reply {
+        replica,
+        seq,
+        result,
+        ..
+    }
+    | Message::Wake {
+        replica,
+        seq,
+        result,
+        ..
+    }
+    | Message::ReadReply {
+        replica,
+        seq,
+        result,
+        ..
+    } = msg
+    {
+        *result = forged.clone();
+        edit(replica, seq);
+    }
+    if let Message::ReadReply { digest, .. } = msg {
+        *digest = forged.digest();
     }
 }
 
@@ -420,6 +434,57 @@ mod tests {
                     replica: 2,
                 },
             ),
+            (Dest::AllReplicas, prepare),
+        ];
+        assert_eq!(out, expected);
+    }
+
+    #[test]
+    fn impersonator_answers_clients_as_f_plus_one_replicas() {
+        let node = faulty(3, FaultMode::ImpersonatesReplicas);
+        let to_client = Dest::Client(CLIENT_NODE);
+        let honest = OpResult::Tuple(Some(tuple!["T", 1]));
+        let prepare = Message::Prepare {
+            view: 0,
+            seq: 3,
+            digest: [7u8; 32],
+            replica: 3,
+        };
+        let read_reply = |replica, result: &OpResult| Message::ReadReply {
+            req_id: 10,
+            seq: 3,
+            digest: result.digest(),
+            result: result.clone(),
+            replica,
+        };
+        let wake = |replica, result: &OpResult| Message::Wake {
+            req_id: 11,
+            seq: 4,
+            result: result.clone(),
+            replica,
+        };
+        let reply = |replica, result: &OpResult| Message::Reply {
+            view: 0,
+            seq: 5,
+            req_id: 12,
+            replica,
+            result: result.clone(),
+        };
+        let out = node.rewrite(vec![
+            (to_client, reply(3, &OpResult::Done)),
+            (to_client, read_reply(3, &honest)),
+            (to_client, wake(3, &honest)),
+            (Dest::AllReplicas, prepare.clone()),
+        ]);
+        let forged = OpResult::Tuple(Some(tuple!["FORGED"]));
+        // f = 1: as itself and as replica 0, the next id round the ring.
+        let expected = vec![
+            (to_client, reply(3, &forged)),
+            (to_client, reply(0, &forged)),
+            (to_client, read_reply(3, &forged)),
+            (to_client, read_reply(0, &forged)),
+            (to_client, wake(3, &forged)),
+            (to_client, wake(0, &forged)),
             (Dest::AllReplicas, prepare),
         ];
         assert_eq!(out, expected);

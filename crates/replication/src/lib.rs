@@ -11,15 +11,18 @@
 //!   (pre-prepare / prepare / commit, simplified view change), one file
 //!   per state machine it contains: ordering, checkpoints and state
 //!   transfer, view change, durability;
-//! * [`client`] — client-side `f+1` reply voting;
+//! * [`client`] — the sans-io client: `f+1` reply voting, and the op
+//!   machines (send, retry, probe, widen, fall back, cancel) that both
+//!   client drivers run;
 //! * [`faults`] — injectable replica fault modes and `Faulty`, the
 //!   wrapper the test harnesses drive in place of a bare [`Replica`];
 //! * [`sim_harness`] — a deterministic simulated deployment
-//!   ([`SimCluster`]) for fault experiments;
+//!   ([`SimCluster`]) for fault experiments, its clients driving the op
+//!   machines on simulated time;
 //! * [`runtime`] — the transport-generic deployment runtime: the replica
-//!   event loop ([`replica_main`], generic over a
-//!   [`Node`](runtime::Node)) and the concurrent client handle
-//!   ([`ReplicatedPeats`]), written against `peats-netsim`'s
+//!   event loop ([`replica_main`], generic over a [`Node`](runtime::Node))
+//!   and the concurrent client handle ([`ReplicatedPeats`], driving the op
+//!   machines on `Instant`), written against `peats-netsim`'s
 //!   [`Transport`](peats_netsim::Transport) trait so the same code runs
 //!   over in-memory channels and over real TCP sockets (`peats-net`);
 //! * [`threaded`] — the in-process deployment: one [`Cluster`] harness
@@ -51,7 +54,8 @@ pub mod threaded;
 pub mod wal;
 
 pub use client::{
-    BlockingPoll, BlockingSession, ClientSession, ReadPoll, ReadSession, WakeStreamSession,
+    BlockingPoll, BlockingSession, ClientConfig, ClientSession, ReadPoll, ReadSession,
+    WakeStreamSession,
 };
 pub use faults::FaultMode;
 pub use messages::{
@@ -59,9 +63,9 @@ pub use messages::{
     Sealed, Seq, View, WaitKind,
 };
 pub use replica::{Dest, Replica, ReplicaConfig, ReplicaFootprint};
-pub use runtime::{replica_main, ship, ClientConfig, ReplicatedPeats, Subscription};
+pub use runtime::{replica_main, ship, ReplicatedPeats, Subscription};
 pub use service::PeatsService;
-pub use sim_harness::{FastRead, SimCluster};
+pub use sim_harness::SimCluster;
 pub use threaded::{Cluster, ClusterConfig, Fabric, ThreadedCluster};
 pub use wal::{
     DiskMetrics, DurableConfig, DurableSnapshot, DurableStore, Recovery, RecoveryReport, WalRecord,

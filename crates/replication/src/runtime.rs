@@ -4,11 +4,12 @@
 //! channels ([`ThreadNet`], the fast verification tier) and real TCP
 //! sockets (`peats-net`, the `peatsd` deployment tier).
 //!
-//! Cloned [`ReplicatedPeats`] handles invoke **concurrently**, and a handle
-//! has no thread of its own. Its node's mailbox sits behind a mutex in the
-//! state the clones share, and *whichever invocation is waiting reads it*:
-//! the first to wait becomes the reader, keeps the replies to its own
-//! `req_id` and routes every other to the channel of the in-flight
+//! Each invocation of a [`ReplicatedPeats`] handle runs one op machine of
+//! [`client`](crate::client) on `Instant`. Clones invoke **concurrently**,
+//! and a handle has no thread of its own. Its mailbox sits behind a mutex
+//! in the state the clones share, and *whichever invocation is waiting
+//! reads it*: the first to wait becomes the reader, keeps the replies to
+//! its own requests and routes every other to the channel of the in-flight
 //! invocation it answers; the rest block on those channels. A reader that
 //! leaves — decided, timed out, or unwinding — hands the role to a session
 //! that is blocked in a wait at that moment, never to one that is merely
@@ -21,64 +22,21 @@
 //! decision — stays in the mailbox until the next wait drops it.
 
 use crate::client::{
-    BlockingPoll, BlockingSession, ClientSession, ReadPoll, ReadSession, WakeStreamSession,
+    BlockingPoll, ClientConfig, ClientCore, Io, OpMachine, ReplyEnvelope, WakeStreamSession,
 };
-use crate::messages::{Message, OpResult, ReplicaId, RequestOp, Sealed, Seq, WaitKind};
+use crate::messages::{Message, OpResult, RequestOp, Sealed, Seq, WaitKind};
 use crate::replica::{Dest, Replica};
 use peats::{CasOutcome, SpaceError, SpaceResult, TupleSpace};
-use peats_auth::Digest;
 use peats_auth::KeyTable;
 use peats_codec::Encode;
 use peats_netsim::{Mailbox, NodeId, ThreadNet, Transport};
 use peats_policy::OpCall;
 use peats_tuplespace::{Template, Tuple};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
-
-/// Client-side timing knobs, shared by every clone of one handle.
-#[derive(Clone, Debug)]
-pub struct ClientConfig {
-    /// Re-broadcast an undecided request after this long without a
-    /// decision. Each retry resets the timer from *now*, so a stall never
-    /// banks a burst of back-to-back rebroadcasts.
-    pub retry_interval: Duration,
-    /// Give up on an invocation (`SpaceError::Unavailable`) after this
-    /// long. Also the end-to-end deadline of a blocked `rd`/`take`: past
-    /// it the registration is cancelled with an ordered `Cancel` and the
-    /// invoke reports `Unavailable` (unless the cancel lost the race to a
-    /// committed match, in which case the tuple is returned).
-    pub invoke_timeout: Duration,
-    /// Request ids start above this value. Replicas dedup requests by
-    /// `(pid, req_id)` and re-reply the cached result on a repeat, so a
-    /// *short-lived* client process re-using a long-lived pid (the `peats`
-    /// CLI) must seed this with something fresh — e.g. a wall-clock
-    /// timestamp — or its first requests replay earlier invocations'
-    /// replies. Long-lived handles keep the 0 default.
-    pub first_request_id: u64,
-}
-
-/// Give up on a fast-read round (and fall back to the ordered path) after
-/// this long without `f+1` fresh matching replies.
-const READ_TIMEOUT: Duration = Duration::from_millis(500);
-
-/// How long the optimistic probe phase of a fast read waits before
-/// widening to every replica. A fast read first asks only a preferred
-/// `f+1` quorum — the cheapest read that can still decide — and widens
-/// (rotating the preference past the unhelpful replica) if that window
-/// stays silent this long or answers without deciding.
-const READ_PROBE_TIMEOUT: Duration = Duration::from_millis(25);
-
-impl Default for ClientConfig {
-    fn default() -> Self {
-        ClientConfig {
-            retry_interval: Duration::from_millis(500),
-            invoke_timeout: Duration::from_secs(10),
-            first_request_id: 0,
-        }
-    }
-}
 
 /// Seals replica outputs into `(to, frame)` pairs: a [`Dest`] becomes the
 /// node ids it names (every replica but this one for
@@ -243,92 +201,6 @@ pub fn replica_main<T: Transport>(
     }
 }
 
-/// A reply addressed to an in-flight invocation by `req_id`.
-pub(crate) enum ReplyEnvelope {
-    /// An ordered-path `Reply`: the `(seq, result)` pair the replica
-    /// recorded at execution.
-    Ordered {
-        replica: ReplicaId,
-        req_id: u64,
-        seq: Seq,
-        result: OpResult,
-    },
-    /// A fast-path `ReadReply`: the replica's answer at its current
-    /// execution point.
-    Fast {
-        replica: ReplicaId,
-        req_id: u64,
-        seq: Seq,
-        digest: Digest,
-        result: OpResult,
-    },
-}
-
-impl ReplyEnvelope {
-    /// The reply an opened message carries, if it is one.
-    pub(crate) fn of(msg: Message) -> Option<ReplyEnvelope> {
-        match msg {
-            // A replica-pushed wake carries the same fields as an ordered
-            // reply and answers the same blocked registration, so both
-            // funnel into the one `Ordered` envelope; the session layer's
-            // per-replica voting treats them identically.
-            Message::Reply {
-                req_id,
-                seq,
-                replica,
-                result,
-                ..
-            }
-            | Message::Wake {
-                req_id,
-                seq,
-                result,
-                replica,
-            } => Some(ReplyEnvelope::Ordered {
-                replica,
-                req_id,
-                seq,
-                result,
-            }),
-            Message::ReadReply {
-                req_id,
-                seq,
-                digest,
-                result,
-                replica,
-            } => Some(ReplyEnvelope::Fast {
-                replica,
-                req_id,
-                seq,
-                digest,
-                result,
-            }),
-            _ => None,
-        }
-    }
-
-    fn req_id(&self) -> u64 {
-        match self {
-            ReplyEnvelope::Ordered { req_id, .. } | ReplyEnvelope::Fast { req_id, .. } => *req_id,
-        }
-    }
-
-    /// The arguments of the ordered sessions' `on_reply`/`on_wake`; `None`
-    /// for a fast reply (fast reads never share a `req_id` with an ordered
-    /// request).
-    pub(crate) fn ordered(self) -> Option<(ReplicaId, u64, Seq, OpResult)> {
-        match self {
-            ReplyEnvelope::Ordered {
-                replica,
-                req_id,
-                seq,
-                result,
-            } => Some((replica, req_id, seq, result)),
-            ReplyEnvelope::Fast { .. } => None,
-        }
-    }
-}
-
 /// What a session's channel carries.
 enum Routed {
     /// A reply the reader received on this session's behalf.
@@ -340,10 +212,12 @@ enum Routed {
 /// One registered `req_id`.
 struct Session {
     tx: mpsc::Sender<Routed>,
+    /// The request id the session was registered under: this one, or that
+    /// of the op whose fallback or cancel it routes.
+    owner: u64,
     /// Its owner is blocked on the channel inside [`ReplyDemux::wait`]. A
     /// registered session need not be: a [`Subscription`] between two
-    /// `next_timeout` calls, or a blocked `take` while its `Cancel` runs
-    /// on the same thread.
+    /// `next_timeout` calls.
     waiting: bool,
 }
 
@@ -387,15 +261,18 @@ struct ReplyDemux {
     /// this lock behind a blocked receive.
     mailbox: parking_lot::Mutex<Box<dyn Mailbox>>,
     keys: KeyTable,
+    /// Replicas in the group: only they may send replies.
+    n: usize,
     /// Never held across a receive.
     sessions: parking_lot::Mutex<Sessions>,
 }
 
 impl ReplyDemux {
-    fn new(mailbox: Box<dyn Mailbox>, keys: KeyTable) -> Self {
+    fn new(mailbox: Box<dyn Mailbox>, keys: KeyTable, n: usize) -> Self {
         ReplyDemux {
             mailbox: parking_lot::Mutex::new(mailbox),
             keys,
+            n,
             sessions: parking_lot::Mutex::new(Sessions {
                 by_req: BTreeMap::new(),
                 reader: Role::Free,
@@ -413,20 +290,34 @@ impl ReplyDemux {
         // fast).
         let mut sessions = self.sessions.lock();
         if !sessions.closed {
-            let waiting = false;
-            sessions.by_req.insert(req_id, Session { tx, waiting });
+            let (owner, waiting) = (req_id, false);
+            sessions
+                .by_req
+                .insert(req_id, Session { tx, owner, waiting });
         }
         // When closed, the sender is dropped here and the receiver reports
         // Disconnected immediately.
         rx
     }
 
+    /// Routes the replies to `alias` to the session of `req_id` too.
+    fn alias(&self, req_id: u64, alias: u64) {
+        let mut sessions = self.sessions.lock();
+        if let Some(tx) = sessions.by_req.get(&req_id).map(|s| s.tx.clone()) {
+            let (owner, waiting) = (req_id, false);
+            sessions
+                .by_req
+                .insert(alias, Session { tx, owner, waiting });
+        }
+    }
+
+    /// Drops the session of `req_id`, and its aliases.
     fn deregister(&self, req_id: u64) {
-        self.sessions.lock().by_req.remove(&req_id);
+        self.sessions.lock().by_req.retain(|_, s| s.owner != req_id);
     }
 
     fn route(&self, env: ReplyEnvelope) {
-        if let Some(session) = self.sessions.lock().by_req.get(&env.req_id()) {
+        if let Some(session) = self.sessions.lock().by_req.get(&env.req_id) {
             let _ = session.tx.send(Routed::Reply(env));
         }
         // No session with that req_id: a late reply for a completed (or
@@ -440,15 +331,15 @@ impl ReplyDemux {
         sessions.by_req.clear();
     }
 
-    /// Waits until `until` for replies to `req_id`, handing each to
-    /// `on_reply` until it returns `Some` — the one place a client
-    /// invocation blocks.
+    /// Waits until `until` for the replies of session `req_id` — those
+    /// whose request id is `mine` — handing each to `on_reply` until it
+    /// returns `Some`: the one place a client invocation blocks.
     ///
     /// First comes what a sibling already routed to `rx`. Then, if no other
     /// session is reading, this one becomes the reader: it receives from
-    /// the mailbox, opens each frame, keeps the replies to `req_id` and
-    /// routes the rest. Otherwise it blocks on `rx`, where the reader
-    /// delivers its replies and, when the reader leaves, possibly the role.
+    /// the mailbox, opens each frame, keeps its own replies and routes the
+    /// rest. Otherwise it blocks on `rx`, where the reader delivers its
+    /// replies and, when the reader leaves, possibly the role.
     ///
     /// The reader checks `until` before every receive, so a peer flooding
     /// the mailbox cannot keep it past its deadline, and drops what answers
@@ -459,6 +350,7 @@ impl ReplyDemux {
     fn wait<R>(
         &self,
         req_id: u64,
+        mine: impl Fn(u64) -> bool,
         rx: &mpsc::Receiver<Routed>,
         until: Instant,
         mut on_reply: impl FnMut(ReplyEnvelope) -> Option<R>,
@@ -503,11 +395,11 @@ impl ReplyDemux {
                         }
                     };
                     let Some(env) = Sealed::open_bytes(&self.keys, &payload)
-                        .and_then(|(_, msg)| ReplyEnvelope::of(msg))
+                        .and_then(|(from, msg)| ReplyEnvelope::of(from, msg, self.n))
                     else {
                         continue;
                     };
-                    if env.req_id() != req_id {
+                    if !mine(env.req_id) {
                         self.route(env);
                     } else if let Some(decided) = on_reply(env) {
                         return Waited::Decided(decided);
@@ -601,16 +493,6 @@ impl Drop for SessionGuard<'_> {
     }
 }
 
-/// Observability counters shared by all clones of one handle.
-#[derive(Debug, Default)]
-struct ClientStats {
-    rebroadcasts: AtomicU64,
-    in_flight: AtomicU64,
-    max_in_flight: AtomicU64,
-    fast_served: AtomicU64,
-    fast_read_fallbacks: AtomicU64,
-}
-
 /// Client handle onto a replicated PEATS cluster reached over any
 /// [`Transport`]; implements [`peats::TupleSpace`], so all algorithms run
 /// on it unchanged. Clones share the node's identity, request counter, and
@@ -624,26 +506,10 @@ struct ClientStats {
 pub struct ReplicatedPeats<T: Transport = ThreadNet> {
     net: T,
     demux: Arc<ReplyDemux>,
-    keys: KeyTable,
     node: NodeId,
-    pid: u64,
-    f: usize,
-    n_replicas: usize,
-    next_req: Arc<AtomicU64>,
-    cfg: ClientConfig,
-    stats: Arc<ClientStats>,
-    /// Read watermark: the highest *quorum-backed* seq this handle has
-    /// observed — advanced by every accepted ordered reply and every
-    /// accepted fast read. Fast reads demand a quorum at or above it,
-    /// which is exactly read-your-writes: the quorum has executed every
-    /// operation this handle ever had acknowledged. Only quorum-backed
-    /// seqs advance it, so a Byzantine replica claiming `seq = u64::MAX`
-    /// cannot wedge the handle into permanent ordered fallback.
-    watermark: Arc<AtomicU64>,
-    /// Start of the preferred `f+1` probe window for fast reads. Rotated
-    /// whenever a probe fails to decide, so a crashed, slow, or Byzantine
-    /// replica only taxes the first read that probes it.
-    probe_offset: Arc<AtomicU64>,
+    core: Arc<ClientCore>,
+    /// What the op machines' times are offsets from.
+    epoch: Instant,
 }
 
 impl<T: Transport> ReplicatedPeats<T> {
@@ -665,308 +531,87 @@ impl<T: Transport> ReplicatedPeats<T> {
         let node = mailbox.id();
         ReplicatedPeats {
             net,
-            demux: Arc::new(ReplyDemux::new(Box::new(mailbox), keys.clone())),
-            keys,
+            demux: Arc::new(ReplyDemux::new(Box::new(mailbox), keys, n_replicas)),
             node,
-            pid,
-            f,
-            n_replicas,
-            next_req: Arc::new(AtomicU64::new(cfg.first_request_id)),
-            cfg,
-            stats: Arc::new(ClientStats::default()),
-            watermark: Arc::new(AtomicU64::new(0)),
-            probe_offset: Arc::new(AtomicU64::new(0)),
+            core: Arc::new(ClientCore::new(pid, f, n_replicas, cfg)),
+            epoch: Instant::now(),
         }
     }
 
-    /// Sends `msg` to every replica: encoded once, MAC'd per recipient.
-    fn broadcast(&self, msg: &Message) {
+    /// Sends `msg` to replica `i % n` for each `i` of `to`: encoded once,
+    /// MAC'd per recipient.
+    fn send(&self, msg: &Message, to: Range<usize>) {
         let body = msg.to_bytes();
-        for r in 0..self.n_replicas as NodeId {
-            let frame = Sealed::frame(&self.keys, u64::from(r), &body);
+        for r in to.map(|i| (i % self.core.n) as NodeId) {
+            let frame = Sealed::frame(&self.demux.keys, u64::from(r), &body);
             self.net.send(self.node, r, frame);
         }
     }
 
     fn invoke(&self, op: OpCall<'static>) -> SpaceResult<OpResult> {
-        self.invoke_op(RequestOp::Call(op))
+        self.drive(|core, now| OpMachine::ordered(core, RequestOp::Call(op), now))
     }
 
-    fn invoke_op(&self, op: RequestOp) -> SpaceResult<OpResult> {
-        let req_id = self.next_req.fetch_add(1, Ordering::Relaxed) + 1;
-        let rx = self.demux.register(req_id);
-        let _session_guard = SessionGuard {
+    /// Runs the op machine `start` makes to its outcome — the loop of
+    /// every invocation: send what it asks for, feed it its replies in
+    /// [`ReplyDemux::wait`], and the time once its deadline has come.
+    fn drive(
+        &self,
+        start: impl FnOnce(&ClientCore, Duration) -> (OpMachine, Io),
+    ) -> SpaceResult<OpResult> {
+        let (mut op, mut io) = start(&self.core, self.epoch.elapsed());
+        let first = op.first_req_id();
+        let rx = self.demux.register(first);
+        let _session = SessionGuard {
             demux: &self.demux,
-            req_id,
+            req_id: first,
         };
-        let mut session = ClientSession::new_op(self.pid, req_id, op, self.f);
-        self.broadcast(&session.request_message());
         // Track in-flight depth (tests assert clones genuinely overlap).
-        let depth = self.stats.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-        self.stats.max_in_flight.fetch_max(depth, Ordering::Relaxed);
-        let result = (|| {
-            let deadline = Instant::now() + self.cfg.invoke_timeout;
-            let mut next_retry = Instant::now() + self.cfg.retry_interval;
-            loop {
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(SpaceError::Unavailable(
-                        "no f+1 matching replies before timeout".into(),
-                    ));
-                }
-                if now >= next_retry {
-                    self.broadcast(&session.request_message());
-                    self.stats.rebroadcasts.fetch_add(1, Ordering::Relaxed);
-                    // Reset from *now*, not the missed tick: after a long
-                    // stall (`+= interval` drifting behind the clock) every
-                    // banked tick would fire a rebroadcast back-to-back.
-                    next_retry = Instant::now() + self.cfg.retry_interval;
-                }
-                // Event-driven wait, until the earlier of the retry and
-                // overall deadlines: latency is the cluster's decision
-                // time, not a poll-tick quantum.
-                let until = next_retry.min(deadline);
-                match self.demux.wait(req_id, &rx, until, |env| {
-                    let (replica, rid, seq, result) = env.ordered()?;
-                    session.on_reply(replica, rid, seq, result)
-                }) {
-                    Waited::Decided((seq, result)) => {
-                        // Read-your-writes: every future fast read must
-                        // come from a quorum that has executed this slot.
-                        self.watermark.fetch_max(seq, Ordering::Relaxed);
-                        return Ok(result);
+        let depth = self.core.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
+        self.core.max_in_flight.fetch_max(depth, Ordering::Relaxed);
+        let result = loop {
+            let current = op.req_id();
+            let until = match io {
+                Io::Done(outcome) => break outcome,
+                Io::Wait { send, until } => {
+                    // Routed here before any reply to it can arrive.
+                    if current != first {
+                        self.demux.alias(first, current);
                     }
-                    Waited::TimedOut => {}
-                    Waited::Closed => return Err(shut_down()),
+                    if let Some(to) = send {
+                        self.send(op.message(), to);
+                    }
+                    until
                 }
-            }
-        })();
-        self.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
-        result
-    }
-
-    /// Read-only invocation: try the one-round quorum fast path, falling
-    /// back to the full ordering pipeline on timeout or when replicas
-    /// disagree. `op` must be `rd`/`rdp`/`count` — replicas refuse to
-    /// fast-serve anything else.
-    fn invoke_read(&self, op: OpCall<'static>) -> SpaceResult<OpResult> {
-        match self.try_fast_read(&op) {
-            Some(result) => {
-                self.stats.fast_served.fetch_add(1, Ordering::Relaxed);
-                Ok(result)
-            }
-            None => {
-                self.stats
-                    .fast_read_fallbacks
-                    .fetch_add(1, Ordering::Relaxed);
-                self.invoke(op)
-            }
-        }
-    }
-
-    /// One fast-read round: ask replicas for the read, accept a result
-    /// backed by `f+1` replicas agreeing on `(seq, digest)` at
-    /// `seq ≥ watermark`. `None` means fall back (timeout, disagreement,
-    /// or shutdown — the ordered path reports the terminal error).
-    ///
-    /// The request goes out in two phases. The *probe* asks only a
-    /// preferred `f+1` window of replicas — exactly the quorum that can
-    /// decide, so the common fault-free case pays for `f+1` request/reply
-    /// pairs instead of `3f+1`. If the window answers without deciding
-    /// (stale, Byzantine, or conflicting replies) or stays silent past
-    /// [`READ_PROBE_TIMEOUT`], the read *widens* to the remaining replicas
-    /// and rotates the preferred window, so an unhelpful replica only
-    /// taxes the reads that first discover it.
-    fn try_fast_read(&self, op: &OpCall<'static>) -> Option<OpResult> {
-        let req_id = self.next_req.fetch_add(1, Ordering::Relaxed) + 1;
-        let rx = self.demux.register(req_id);
-        let _session_guard = SessionGuard {
-            demux: &self.demux,
-            req_id,
-        };
-        let watermark = self.watermark.load(Ordering::Relaxed);
-        let mut session = ReadSession::new(req_id, watermark, self.f, self.n_replicas);
-        let msg = Message::ReadRequest {
-            client: self.pid,
-            req_id,
-            op: op.clone(),
-            watermark,
-        };
-        let quorum = self.f + 1;
-        let probe = self.probe_offset.load(Ordering::Relaxed) as usize % self.n_replicas;
-        let body = msg.to_bytes();
-        let send_to = |i: usize| {
-            let r = ((probe + i) % self.n_replicas) as NodeId;
-            let frame = Sealed::frame(&self.keys, u64::from(r), &body);
-            self.net.send(self.node, r, frame);
-        };
-        for i in 0..quorum.min(self.n_replicas) {
-            send_to(i);
-        }
-        let deadline = Instant::now() + READ_TIMEOUT;
-        let probe_deadline = Instant::now() + READ_PROBE_TIMEOUT;
-        let mut widened = quorum >= self.n_replicas;
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            if !widened && (now >= probe_deadline || session.responders() >= quorum) {
-                widened = true;
-                self.probe_offset.fetch_add(1, Ordering::Relaxed);
-                for i in quorum..self.n_replicas {
-                    send_to(i);
-                }
-            }
-            let until = if widened {
-                deadline
-            } else {
-                probe_deadline.min(deadline)
             };
-            let poll = self.demux.wait(req_id, &rx, until, |env| {
-                let ReplyEnvelope::Fast {
-                    replica,
-                    req_id: rid,
-                    seq,
-                    digest,
-                    result,
-                } = env
-                else {
-                    return None;
-                };
-                match session.on_read_reply(replica, rid, seq, digest, result) {
-                    // Undecided, and nothing at the top of the loop to do
-                    // about it (the probe window has not all answered, or
-                    // the read is as wide as it gets): keep waiting.
-                    ReadPoll::Pending if widened || session.responders() < quorum => None,
-                    poll => Some(poll),
-                }
-            });
-            match poll {
-                Waited::Decided(ReadPoll::Accepted { seq, result }) => {
-                    // An accepted fast read is quorum-backed: it, too,
-                    // advances the watermark (monotonic reads).
-                    self.watermark.fetch_max(seq, Ordering::Relaxed);
-                    return Some(result);
-                }
-                Waited::Decided(ReadPoll::NoQuorum) | Waited::Closed => return None,
-                // The probe window answered without deciding, or ran out
-                // of time: loop back to widen. The overall deadline check
-                // at the top of the loop ends the round.
-                Waited::Decided(ReadPoll::Pending) | Waited::TimedOut => {}
-            }
-        }
-    }
-
-    /// Blocking `rd`/`take`: one ordered `Register` parks a template at
-    /// every replica, then the invocation *waits* — replicas push a `Wake`
-    /// when a committed `out` matches, so a blocked read costs exactly one
-    /// consensus round (plus one for the wake-carrying `out` it shares)
-    /// instead of a consensus round per poll tick.
-    ///
-    /// Past `invoke_timeout` the registration is detached with an ordered
-    /// `Cancel`; the cancel and a concurrent match race *in the total
-    /// order*, so one final `Register` retransmit reads the authoritative
-    /// outcome from the replicas' reply caches: a cached tuple means the
-    /// match committed first (the tuple is ours — returning `Unavailable`
-    /// would leak it), a cached `Registered` means the cancel won.
-    fn invoke_blocking(&self, template: &Template, kind: WaitKind) -> SpaceResult<Tuple> {
-        let req_id = self.next_req.fetch_add(1, Ordering::Relaxed) + 1;
-        let rx = self.demux.register(req_id);
-        let _session_guard = SessionGuard {
-            demux: &self.demux,
-            req_id,
+            let mine = |req_id| req_id == first || req_id == current;
+            let waited = self
+                .demux
+                .wait(first, mine, &rx, self.epoch + until, |reply| {
+                    let io = op.on_reply(&self.core, reply, self.epoch.elapsed());
+                    // Nothing to send and the same deadline: keep waiting.
+                    (!matches!(io, Io::Wait { send: None, until: next } if next == until))
+                        .then_some(io)
+                });
+            io = match waited {
+                Waited::Decided(io) => io,
+                Waited::TimedOut => op.on_deadline(&self.core, self.epoch.elapsed()),
+                Waited::Closed => break Err(shut_down()),
+            };
         };
-        let mut session =
-            BlockingSession::new(self.pid, req_id, template.clone(), kind, false, self.f);
-        self.broadcast(&session.request_message());
-        let depth = self.stats.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-        self.stats.max_in_flight.fetch_max(depth, Ordering::Relaxed);
-        let result = (|| {
-            let deadline = Instant::now() + self.cfg.invoke_timeout;
-            let mut next_retry = Instant::now() + self.cfg.retry_interval;
-            loop {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                if now >= next_retry && session.parked_at().is_none() {
-                    // Only the un-acknowledged phase retransmits: once f+1
-                    // replicas confirmed the park, the next message we are
-                    // owed is a pushed wake, not a reply.
-                    self.broadcast(&session.request_message());
-                    self.stats.rebroadcasts.fetch_add(1, Ordering::Relaxed);
-                    next_retry = Instant::now() + self.cfg.retry_interval;
-                }
-                // Parked, there is no retry to wake up for: a retry tick
-                // already in the past would turn this wait into a spin.
-                let until = match session.parked_at() {
-                    Some(_) => deadline,
-                    None => next_retry.min(deadline),
-                };
-                match self.demux.wait(req_id, &rx, until, |env| {
-                    let (replica, rid, seq, result) = env.ordered()?;
-                    match session.on_reply(replica, rid, seq, result) {
-                        BlockingPoll::Decided(seq, result) => Some((seq, result)),
-                        BlockingPoll::Parked(seq) => {
-                            // The registration itself committed at `seq`;
-                            // read-your-writes covers it like any write.
-                            self.watermark.fetch_max(seq, Ordering::Relaxed);
-                            None
-                        }
-                        BlockingPoll::Pending => None,
-                    }
-                }) {
-                    Waited::Decided((seq, result)) => {
-                        self.watermark.fetch_max(seq, Ordering::Relaxed);
-                        return self.finish_blocking(result);
-                    }
-                    Waited::TimedOut => {}
-                    Waited::Closed => return Err(shut_down()),
-                }
-            }
-            // Deadline passed while parked (or never acknowledged). Detach
-            // the registration in the total order, then settle the race.
-            // This thread is outside `wait` here, so the cancel's own wait
-            // can read the mailbox although `req_id` is still registered.
-            self.invoke_op(RequestOp::Cancel { target: req_id })?;
-            // A new vote: the acks that parked the old one would outvote
-            // the first cached tuple to come back and call the race for
-            // the cancel.
-            let mut session =
-                BlockingSession::new(self.pid, req_id, template.clone(), kind, false, self.f);
-            self.broadcast(&session.request_message());
-            let settle = Instant::now() + self.cfg.retry_interval;
-            match self.demux.wait(req_id, &rx, settle, |env| {
-                let (replica, rid, seq, result) = env.ordered()?;
-                match session.on_reply(replica, rid, seq, result) {
-                    BlockingPoll::Decided(seq, result) => Some(Some((seq, result))),
-                    // Still `Registered` in the caches: the cancel won.
-                    BlockingPoll::Parked(_) => Some(None),
-                    BlockingPoll::Pending => None,
-                }
-            }) {
-                Waited::Decided(Some((seq, result))) => {
-                    self.watermark.fetch_max(seq, Ordering::Relaxed);
-                    self.finish_blocking(result)
-                }
-                Waited::Decided(None) | Waited::TimedOut => Err(SpaceError::Unavailable(
-                    "blocked operation timed out and was cancelled".into(),
-                )),
-                Waited::Closed => Err(shut_down()),
-            }
-        })();
-        self.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
+        self.core.in_flight.fetch_sub(1, Ordering::Relaxed);
         result
     }
 
-    fn finish_blocking(&self, result: OpResult) -> SpaceResult<Tuple> {
-        match result {
+    fn read(&self, op: OpCall<'static>) -> SpaceResult<OpResult> {
+        self.drive(|core, now| OpMachine::read(core, op, now))
+    }
+
+    fn blocking(&self, template: &Template, kind: WaitKind) -> SpaceResult<Tuple> {
+        let template = template.clone();
+        match self.drive(|core, now| OpMachine::blocking(core, template, kind, now))? {
             OpResult::Tuple(Some(t)) => Ok(t),
-            OpResult::Denied(d) => Err(denied(d)),
-            other => Err(SpaceError::Unavailable(format!(
-                "unexpected result {other:?}"
-            ))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -977,21 +622,14 @@ impl<T: Transport> ReplicatedPeats<T> {
     /// slot — tuples already in the space are not replayed (pair with
     /// [`rdp`](TupleSpace::rdp) for a snapshot-then-follow pattern).
     pub fn subscribe(&self, template: &Template) -> SpaceResult<Subscription<T>> {
-        let req_id = self.next_req.fetch_add(1, Ordering::Relaxed) + 1;
+        let (req_id, mut park, mut stream) = self.core.subscribe(template.clone());
         let rx = self.demux.register(req_id);
-        let mut park = BlockingSession::new(
-            self.pid,
-            req_id,
-            template.clone(),
-            WaitKind::Rd,
-            true,
-            self.f,
-        );
-        let mut stream = WakeStreamSession::new(req_id, self.f, self.n_replicas);
         let mut pending = VecDeque::new();
-        self.broadcast(&park.request_message());
-        let deadline = Instant::now() + self.cfg.invoke_timeout;
-        let mut next_retry = Instant::now() + self.cfg.retry_interval;
+        let all = 0..self.core.n;
+        self.send(&park.request_message(), all.clone());
+        let cfg = &self.core.cfg;
+        let deadline = Instant::now() + cfg.invoke_timeout;
+        let mut next_retry = Instant::now() + cfg.retry_interval;
         let registered = loop {
             let now = Instant::now();
             if now >= deadline {
@@ -1000,19 +638,20 @@ impl<T: Transport> ReplicatedPeats<T> {
                 ));
             }
             if now >= next_retry {
-                self.broadcast(&park.request_message());
-                self.stats.rebroadcasts.fetch_add(1, Ordering::Relaxed);
-                next_retry = Instant::now() + self.cfg.retry_interval;
+                self.send(&park.request_message(), all.clone());
+                self.core.rebroadcasts.fetch_add(1, Ordering::Relaxed);
+                next_retry = Instant::now() + cfg.retry_interval;
             }
             let until = next_retry.min(deadline);
-            match self.demux.wait(req_id, &rx, until, |env| {
+            let mine = |id| id == req_id;
+            match self.demux.wait(req_id, mine, &rx, until, |env| {
                 let (replica, rid, seq, result) = env.ordered()?;
                 // Wakes racing the park acknowledgement are certified
                 // through the stream session and queued so the subscriber
                 // sees them; `Registered` acks feed the park vote. Both
                 // sessions are fed — each ignores what the other consumes.
                 if let Some((seq, result)) = stream.on_wake(replica, rid, seq, result.clone()) {
-                    self.watermark.fetch_max(seq, Ordering::Relaxed);
+                    self.core.observe(seq);
                     match result {
                         OpResult::Tuple(Some(t)) => pending.push_back(t),
                         OpResult::Denied(d) => return Some(Err(denied(d))),
@@ -1021,14 +660,14 @@ impl<T: Transport> ReplicatedPeats<T> {
                 }
                 match park.on_reply(replica, rid, seq, result) {
                     BlockingPoll::Decided(seq, OpResult::Denied(d)) => {
-                        self.watermark.fetch_max(seq, Ordering::Relaxed);
+                        self.core.observe(seq);
                         Some(Err(denied(d)))
                     }
                     // Parked is the normal ack; a decided (non-denied)
                     // quorum means wakes outran the `Registered` acks —
                     // the registration is committed and live either way.
                     BlockingPoll::Parked(seq) | BlockingPoll::Decided(seq, _) => {
-                        self.watermark.fetch_max(seq, Ordering::Relaxed);
+                        self.core.observe(seq);
                         Some(Ok(()))
                     }
                     BlockingPoll::Pending => None,
@@ -1055,50 +694,40 @@ impl<T: Transport> ReplicatedPeats<T> {
         }
     }
 
-    fn expect_tuple(&self, r: OpResult) -> SpaceResult<Option<Tuple>> {
-        match r {
-            OpResult::Tuple(t) => Ok(t),
-            OpResult::Denied(d) => Err(denied(d)),
-            other => Err(SpaceError::Unavailable(format!(
-                "unexpected result {other:?}"
-            ))),
-        }
-    }
-
     /// Total requests issued through this handle and its clones (each is
     /// one consensus round).
     pub fn issued_requests(&self) -> u64 {
-        self.next_req.load(Ordering::Relaxed) - self.cfg.first_request_id
+        self.core.next_req.load(Ordering::Relaxed) - self.core.cfg.first_request_id
     }
 
     /// Total retry re-broadcasts issued by this handle and its clones. A
     /// healthy cluster decides well inside the retry interval, so this
     /// staying at zero is how tests prove no reply was lost or eaten.
     pub fn rebroadcasts(&self) -> u64 {
-        self.stats.rebroadcasts.load(Ordering::Relaxed)
+        self.core.rebroadcasts.load(Ordering::Relaxed)
     }
 
     /// High-water mark of concurrently in-flight invocations across all
     /// clones of this handle.
     pub fn max_concurrent_invokes(&self) -> u64 {
-        self.stats.max_in_flight.load(Ordering::Relaxed)
+        self.core.max_in_flight.load(Ordering::Relaxed)
     }
 
     /// Reads served by the one-round fast path (no ordering round).
     pub fn fast_reads_served(&self) -> u64 {
-        self.stats.fast_served.load(Ordering::Relaxed)
+        self.core.fast_served.load(Ordering::Relaxed)
     }
 
     /// Fast-read rounds that fell back to the ordered path (timeout or
     /// replica disagreement). A healthy quiescent cluster keeps this at 0.
     pub fn fast_read_fallbacks(&self) -> u64 {
-        self.stats.fast_read_fallbacks.load(Ordering::Relaxed)
+        self.core.fast_read_fallbacks.load(Ordering::Relaxed)
     }
 
     /// The handle's current read watermark (highest quorum-backed seq
     /// observed).
     pub fn read_watermark(&self) -> Seq {
-        self.watermark.load(Ordering::Relaxed)
+        self.core.watermark()
     }
 }
 
@@ -1134,16 +763,20 @@ impl<T: Transport> Subscription<T> {
         // invocation (it may read the mailbox for its siblings); between
         // calls it is only registered, and siblings queue its events.
         let until = Instant::now() + timeout;
-        let event = self.handle.demux.wait(self.req_id, &self.rx, until, |env| {
-            let (replica, rid, seq, result) = env.ordered()?;
-            let (seq, result) = self.stream.on_wake(replica, rid, seq, result)?;
-            self.handle.watermark.fetch_max(seq, Ordering::Relaxed);
-            match result {
-                OpResult::Tuple(Some(t)) => Some(Ok(t)),
-                OpResult::Denied(d) => Some(Err(denied(d))),
-                _ => None,
-            }
-        });
+        let mine = |id| id == self.req_id;
+        let event = self
+            .handle
+            .demux
+            .wait(self.req_id, mine, &self.rx, until, |env| {
+                let (replica, rid, seq, result) = env.ordered()?;
+                let (seq, result) = self.stream.on_wake(replica, rid, seq, result)?;
+                self.handle.core.observe(seq);
+                match result {
+                    OpResult::Tuple(Some(t)) => Some(Ok(t)),
+                    OpResult::Denied(d) => Some(Err(denied(d))),
+                    _ => None,
+                }
+            });
         match event {
             Waited::Decided(event) => event.map(Some),
             Waited::TimedOut => Ok(None),
@@ -1156,9 +789,11 @@ impl<T: Transport> Subscription<T> {
     pub fn cancel(mut self) -> SpaceResult<()> {
         self.cancelled = true;
         self.handle.demux.deregister(self.req_id);
-        self.handle.invoke_op(RequestOp::Cancel {
+        let cancel = RequestOp::Cancel {
             target: self.req_id,
-        })?;
+        };
+        self.handle
+            .drive(|core, now| OpMachine::ordered(core, cancel, now))?;
         Ok(())
     }
 }
@@ -1172,26 +807,32 @@ impl<T: Transport> Drop for Subscription<T> {
         // Best-effort detach: one unacknowledged Cancel broadcast. Blocking
         // on an ordered round inside Drop could stall the caller for the
         // whole invoke timeout; if every copy of this broadcast is lost the
-        // registration survives until a later Cancel with the same target
-        // (replicas bound registration memory per client, not per drop).
+        // registration survives until a later Cancel with the same target —
+        // replicas do not bound how many registrations a client holds.
+        let core = &self.handle.core;
         let cancel = crate::messages::Request {
-            client: self.handle.pid,
-            req_id: self
-                .handle
-                .next_req
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                + 1,
+            client: core.pid,
+            req_id: core.fresh_req_id(),
             op: RequestOp::Cancel {
                 target: self.req_id,
             },
         };
-        self.handle.broadcast(&Message::Request(cancel));
+        self.handle.send(&Message::Request(cancel), 0..core.n);
     }
 }
 
 /// What a waiter reports once the transport is gone.
 fn shut_down() -> SpaceError {
     SpaceError::Unavailable("cluster shut down".into())
+}
+
+/// What an op that returned `result` reports: a denial, or a result of
+/// the wrong kind.
+fn unexpected(result: OpResult) -> SpaceError {
+    match result {
+        OpResult::Denied(d) => denied(d),
+        other => SpaceError::Unavailable(format!("unexpected result {other:?}")),
+    }
 }
 
 fn denied(detail: String) -> SpaceError {
@@ -1204,21 +845,22 @@ impl<T: Transport> TupleSpace for ReplicatedPeats<T> {
     fn out(&self, entry: Tuple) -> SpaceResult<()> {
         match self.invoke(OpCall::out(entry))? {
             OpResult::Done => Ok(()),
-            OpResult::Denied(d) => Err(denied(d)),
-            other => Err(SpaceError::Unavailable(format!(
-                "unexpected result {other:?}"
-            ))),
+            other => Err(unexpected(other)),
         }
     }
 
     fn rdp(&self, template: &Template) -> SpaceResult<Option<Tuple>> {
-        let r = self.invoke_read(OpCall::rdp(template.clone()))?;
-        self.expect_tuple(r)
+        match self.read(OpCall::rdp(template.clone()))? {
+            OpResult::Tuple(t) => Ok(t),
+            other => Err(unexpected(other)),
+        }
     }
 
     fn inp(&self, template: &Template) -> SpaceResult<Option<Tuple>> {
-        let r = self.invoke(OpCall::inp(template.clone()))?;
-        self.expect_tuple(r)
+        match self.invoke(OpCall::inp(template.clone()))? {
+            OpResult::Tuple(t) => Ok(t),
+            other => Err(unexpected(other)),
+        }
     }
 
     fn cas(&self, template: &Template, entry: Tuple) -> SpaceResult<CasOutcome> {
@@ -1228,10 +870,7 @@ impl<T: Transport> TupleSpace for ReplicatedPeats<T> {
                 inserted: false,
                 found: Some(t),
             } => Ok(CasOutcome::Found(t)),
-            OpResult::Denied(d) => Err(denied(d)),
-            other => Err(SpaceError::Unavailable(format!(
-                "unexpected result {other:?}"
-            ))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -1239,33 +878,30 @@ impl<T: Transport> TupleSpace for ReplicatedPeats<T> {
         // Blocking semantics are server-driven: one ordered Register parks
         // the template at every replica, and the matching `out`'s commit
         // pushes the wake — no client polling, no consensus round per tick.
-        self.invoke_blocking(template, WaitKind::Rd)
+        self.blocking(template, WaitKind::Rd)
     }
 
     fn take(&self, template: &Template) -> SpaceResult<Tuple> {
-        self.invoke_blocking(template, WaitKind::Take)
+        self.blocking(template, WaitKind::Take)
     }
 
     fn count(&self, template: &Template) -> SpaceResult<usize> {
-        match self.invoke_read(OpCall::count(template.clone()))? {
+        match self.read(OpCall::count(template.clone()))? {
             OpResult::Count(n) => Ok(usize::try_from(n).unwrap_or(usize::MAX)),
-            OpResult::Denied(d) => Err(denied(d)),
-            other => Err(SpaceError::Unavailable(format!(
-                "unexpected result {other:?}"
-            ))),
+            other => Err(unexpected(other)),
         }
     }
 
     fn process_id(&self) -> peats_policy::ProcessId {
-        self.pid
+        self.core.pid
     }
 }
 
 impl<T: Transport> std::fmt::Debug for ReplicatedPeats<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReplicatedPeats")
-            .field("pid", &self.pid)
-            .field("replicas", &self.n_replicas)
+            .field("pid", &self.core.pid)
+            .field("replicas", &self.core.n)
             .finish()
     }
 }
@@ -1273,13 +909,14 @@ impl<T: Transport> std::fmt::Debug for ReplicatedPeats<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::{batch_digest, Request};
+    use crate::messages::{batch_digest, ReplicaId, Request};
     use crate::replica::ReplicaConfig;
     use crate::service::PeatsService;
     use crate::wal::DurableStore;
     use peats_netsim::{Disconnected, Envelope};
     use peats_policy::{Policy, PolicyParams};
     use peats_tuplespace::{template, tuple};
+    use std::sync::atomic::AtomicU64;
 
     const MASTER: &[u8] = b"runtime-test-master";
     const CLIENT_NODE: NodeId = 4;
@@ -1922,6 +1559,102 @@ mod tests {
                 tuple!["JOB", 1],
                 "wakes lost: {wakes_lost}"
             );
+        }
+    }
+
+    /// A result no correct replica returns.
+    fn forged() -> OpResult {
+        OpResult::Tuple(Some(tuple!["FORGED"]))
+    }
+
+    fn short_timeout() -> ClientConfig {
+        ClientConfig {
+            invoke_timeout: Duration::from_millis(100),
+            retry_interval: Duration::from_secs(5),
+            ..ClientConfig::default()
+        }
+    }
+
+    #[test]
+    fn a_replica_cannot_vote_as_another_on_the_ordered_path() {
+        // Replica 3 alone answers, claiming to be replicas 0 and 1.
+        let c = client(short_timeout(), None, |replica, msg| match msg {
+            Message::Request(request) if replica == 3 => {
+                let req_id = request.req_id;
+                vec![reply(0, req_id, forged()), reply(1, req_id, forged())]
+            }
+            _ => Vec::new(),
+        });
+        let why = unavailable(c.handle.inp(&template!["A"]).map(drop));
+        assert!(why.contains("timeout"), "{why}");
+    }
+
+    #[test]
+    fn a_replica_cannot_vote_as_another_on_the_fast_path() {
+        // Replica 0, first in the probe window {0, 1}, answers for itself
+        // and for replica 1; every other replica answers honestly.
+        let c = client(ClientConfig::default(), None, |replica, msg| {
+            let Message::ReadRequest { req_id, .. } = msg else {
+                return Vec::new();
+            };
+            let read_reply = |replica, result: OpResult| Message::ReadReply {
+                req_id: *req_id,
+                seq: 0,
+                digest: result.digest(),
+                result,
+                replica,
+            };
+            match replica {
+                0 => vec![read_reply(0, forged()), read_reply(1, forged())],
+                _ => vec![read_reply(replica, OpResult::Tuple(None))],
+            }
+        });
+        assert_eq!(c.handle.rdp(&template!["A"]).unwrap(), None);
+        assert_eq!(c.handle.fast_reads_served(), 1);
+    }
+
+    #[test]
+    fn a_client_cannot_cast_replica_votes() {
+        // Node 5, another client with keys of its own, pushes replies to
+        // this handle's first request, claiming replicas 0 and 1.
+        let c = client(short_timeout(), None, |_, _| Vec::new());
+        for replica in [0, 1] {
+            c.net
+                .push(sealed(5, CLIENT_NODE, &reply(replica, 1, forged())));
+        }
+        let why = unavailable(c.handle.inp(&template!["A"]).map(drop));
+        assert!(why.contains("timeout"), "{why}");
+    }
+
+    #[test]
+    fn a_replica_cannot_wake_a_parked_take_as_another() {
+        // Replica 3 parks the take like the others, and pushes wakes
+        // claiming to come from replicas 0 and 1.
+        let c = client(short_timeout(), None, |replica, msg| {
+            let Message::Request(request) = msg else {
+                return Vec::new();
+            };
+            let req_id = request.req_id;
+            match &request.op {
+                RequestOp::Register { .. } => {
+                    let mut answer = vec![reply(replica, req_id, OpResult::Registered)];
+                    if replica == 3 {
+                        answer.extend([0, 1].map(|replica| Message::Wake {
+                            req_id,
+                            seq: 9,
+                            result: forged(),
+                            replica,
+                        }));
+                    }
+                    answer
+                }
+                RequestOp::Cancel { .. } => vec![reply(replica, req_id, OpResult::Done)],
+                RequestOp::Call(_) => Vec::new(),
+            }
+        });
+        match c.handle.take(&template!["JOB", ?x]) {
+            Err(SpaceError::Unavailable(why)) => assert!(why.contains("cancelled"), "{why}"),
+            other => panic!("forged wakes decided the take: {other:?}"),
         }
     }
 }

@@ -7,25 +7,30 @@
 //! Byzantine client from impersonating a correct process (§2.1).
 //!
 //! Frames are sealed and opened by the runtime's own code
-//! ([`seal_outputs`], [`Sealed::open_bytes`]) and replies are classified
-//! by the envelope the runtime handle routes, so only the driving differs
-//! from `replica_main`: simulated time instead of threads, and clients
-//! that are step-driven sessions instead of handles.
+//! ([`seal_outputs`], [`Sealed::open_bytes`]), and a client runs the op
+//! machines of `client.rs` that the deployed handle runs: its actor feeds
+//! each reply to the op whose request it answers, and sets a timer for
+//! each deadline an op asks for. So the simulated deployment differs from
+//! `replica_main` and [`ReplicatedPeats`](crate::ReplicatedPeats) only in
+//! its clock — simulated microseconds instead of `Instant` — and its
+//! fabric.
 
-use crate::client::{BlockingPoll, BlockingSession, ClientSession, ReadPoll, ReadSession};
+use crate::client::{ClientConfig, ClientCore, Io, OpMachine, ReplyEnvelope};
 use crate::faults::{FaultMode, Faulty};
-use crate::messages::{Message, OpResult, ReplicaId, Sealed, Seq, WaitKind};
+use crate::messages::{Message, OpResult, ReplicaId, RequestOp, Sealed, Seq};
 use crate::replica::{Dest, Replica, ReplicaConfig};
-use crate::runtime::{seal_outputs, Node, ReplyEnvelope};
+use crate::runtime::{seal_outputs, Node};
 use crate::service::PeatsService;
+use peats::SpaceResult;
 use peats_auth::KeyTable;
 use peats_codec::Encode;
-use peats_netsim::{Actor, Context, NetConfig, NodeId, SimNet};
+use peats_netsim::{Actor, Context, NetConfig, NodeId, SimNet, SimTime};
 use peats_policy::{OpCall, Policy, PolicyParams};
-use peats_tuplespace::Template;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 /// Timer token used by replica actors for the progress/view-change check.
 const PROGRESS_TIMER: u64 = 1;
@@ -78,51 +83,102 @@ impl Actor for ReplicaActor {
     }
 }
 
-/// The replies a simulated client received, in arrival order: ordered
-/// replies and pushed wakes as [`ReplyEnvelope::Ordered`], fast-read
-/// answers as [`ReplyEnvelope::Fast`] — what the runtime handle routes.
-type ReplyLog = Rc<RefCell<Vec<ReplyEnvelope>>>;
+/// What one input to an op asks of the network: frames to send, and a
+/// timer to set (its delay and token).
+type Effects = (Vec<(NodeId, Vec<u8>)>, Option<(SimTime, u64)>);
 
-struct ClientActor {
+/// A simulated client: the core its ops share, and its op machines.
+struct SimClient {
+    core: ClientCore,
     keys: KeyTable,
-    replies: ReplyLog,
+    /// Ops in flight by first request id, each with the deadline its
+    /// timer is set for.
+    ops: BTreeMap<u64, (OpMachine, SimTime)>,
+    outcomes: BTreeMap<u64, SpaceResult<OpResult>>,
 }
 
-impl Actor for ClientActor {
-    fn on_message(&mut self, _ctx: &mut Context<'_>, _from: NodeId, payload: &[u8]) {
-        let opened = Sealed::open_bytes(&self.keys, payload);
-        if let Some(reply) = opened.and_then(|(_, msg)| ReplyEnvelope::of(msg)) {
-            self.replies.borrow_mut().push(reply);
+impl SimClient {
+    /// Feeds the op that `req_id` belongs to a reply, or else the time.
+    fn feed(&mut self, req_id: u64, reply: Option<ReplyEnvelope>, now: SimTime) -> Effects {
+        let mut ops = self.ops.iter_mut();
+        let owner = ops.find(|(_, (op, _))| op.first_req_id() == req_id || op.req_id() == req_id);
+        let Some((&first, (op, _))) = owner else {
+            return Effects::default(); // late: its op is over
+        };
+        let at = Duration::from_micros(now);
+        let io = match reply {
+            Some(reply) => op.on_reply(&self.core, reply, at),
+            None => op.on_deadline(&self.core, at),
+        };
+        self.apply(first, io, now)
+    }
+
+    /// Seals what op `first` sends, sets a timer for a new deadline, and
+    /// records an outcome.
+    fn apply(&mut self, first: u64, io: Io, now: SimTime) -> Effects {
+        match io {
+            Io::Done(outcome) => {
+                self.ops.remove(&first);
+                self.outcomes.insert(first, outcome);
+                Effects::default()
+            }
+            Io::Wait { send, until } => {
+                let (op, armed) = self.ops.get_mut(&first).expect("in flight");
+                let until = until.as_micros() as SimTime;
+                let timer = (*armed != until).then(|| {
+                    *armed = until;
+                    (until.saturating_sub(now), first)
+                });
+                let mut frames = Vec::new();
+                if let Some(to) = send {
+                    let body = op.message().to_bytes();
+                    for r in to.map(|i| (i % self.core.n) as NodeId) {
+                        frames.push((r, Sealed::frame(&self.keys, u64::from(r), &body)));
+                    }
+                }
+                (frames, timer)
+            }
         }
     }
 }
 
-struct ClientSlot {
-    node: NodeId,
-    pid: u64,
-    keys: KeyTable,
-    replies: ReplyLog,
-    next_req_id: u64,
-    /// Highest quorum-backed seq this client has observed (mirrors the
-    /// runtime handle's read watermark).
-    watermark: Seq,
+struct ClientActor(Rc<RefCell<SimClient>>);
+
+impl ClientActor {
+    fn deliver(ctx: &mut Context<'_>, (frames, timer): Effects) {
+        for (to, frame) in frames {
+            ctx.send(to, frame);
+        }
+        if let Some((delay, token)) = timer {
+            ctx.set_timer(delay, token);
+        }
+    }
 }
 
-/// Outcome of one simulated fast-read round.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FastRead {
-    /// `f+1` replicas agreed at `seq ≥` the round's watermark.
-    Accepted {
-        /// Execution point the quorum answered at.
-        seq: Seq,
-        /// The agreed result.
-        result: OpResult,
-    },
-    /// All replicas answered, no fresh quorum formed — the client must
-    /// fall back to the ordered path.
-    NoQuorum,
-    /// The step budget ran out without a decision.
-    Timeout,
+impl Actor for ClientActor {
+    fn on_message(&mut self, ctx: &mut Context<'_>, _from: NodeId, payload: &[u8]) {
+        let mut client = self.0.borrow_mut();
+        let n = client.core.n;
+        let opened = Sealed::open_bytes(&client.keys, payload);
+        let Some(reply) = opened.and_then(|(from, msg)| ReplyEnvelope::of(from, msg, n)) else {
+            return;
+        };
+        let effects = client.feed(reply.req_id, Some(reply), ctx.now());
+        drop(client);
+        Self::deliver(ctx, effects);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
+        let effects = self.0.borrow_mut().feed(token, None, ctx.now());
+        Self::deliver(ctx, effects);
+    }
+}
+
+/// An op started with `SimCluster::start`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct OpId {
+    client: usize,
+    req_id: u64,
 }
 
 /// A simulated replicated-PEATS deployment.
@@ -143,8 +199,7 @@ pub enum FastRead {
 pub struct SimCluster {
     net: SimNet,
     replicas: Vec<Rc<RefCell<Faulty>>>,
-    clients: Vec<ClientSlot>,
-    f: usize,
+    clients: Vec<Rc<RefCell<SimClient>>>,
     step_budget: u64,
 }
 
@@ -212,28 +267,21 @@ impl SimCluster {
 
         let mut clients = Vec::new();
         for (i, pid) in client_pids.iter().enumerate() {
-            let node_id = (n_replicas + i) as u64;
-            let replies: ReplyLog = Rc::new(RefCell::new(Vec::new()));
-            let keys = KeyTable::new(node_id, master.clone());
-            let node = net.add_node(Box::new(ClientActor {
-                keys: keys.clone(),
-                replies: Rc::clone(&replies),
+            let node = (n_replicas + i) as NodeId;
+            let client = Rc::new(RefCell::new(SimClient {
+                core: ClientCore::new(*pid, f, n_replicas, ClientConfig::default()),
+                keys: KeyTable::new(u64::from(node), master.clone()),
+                ops: BTreeMap::new(),
+                outcomes: BTreeMap::new(),
             }));
-            clients.push(ClientSlot {
-                node,
-                pid: *pid,
-                keys,
-                replies,
-                next_req_id: 0,
-                watermark: 0,
-            });
+            net.add_node(Box::new(ClientActor(Rc::clone(&client))));
+            clients.push(client);
         }
 
         SimCluster {
             net,
             replicas,
             clients,
-            f,
             step_budget: 200_000,
         }
     }
@@ -248,44 +296,36 @@ impl SimCluster {
         self.replicas[id as usize].borrow_mut().fault = fault;
     }
 
-    /// The view each replica currently sits in.
-    pub fn views(&self) -> Vec<u64> {
+    fn each<R>(&self, f: impl Fn(&Replica) -> R) -> Vec<R> {
         self.replicas
             .iter()
-            .map(|r| r.borrow().replica.view())
+            .map(|r| f(&r.borrow().replica))
             .collect()
+    }
+
+    /// The view each replica currently sits in.
+    pub fn views(&self) -> Vec<u64> {
+        self.each(Replica::view)
     }
 
     /// State digests of all replicas (divergence check).
     pub fn state_digests(&self) -> Vec<peats_auth::Digest> {
-        self.replicas
-            .iter()
-            .map(|r| r.borrow().replica.state_digest())
-            .collect()
+        self.each(Replica::state_digest)
     }
 
     /// Each replica's last executed sequence number.
     pub fn last_execs(&self) -> Vec<u64> {
-        self.replicas
-            .iter()
-            .map(|r| r.borrow().replica.last_exec())
-            .collect()
+        self.each(Replica::last_exec)
     }
 
     /// Each replica's stable checkpoint.
     pub fn stable_seqs(&self) -> Vec<u64> {
-        self.replicas
-            .iter()
-            .map(|r| r.borrow().replica.stable_seq())
-            .collect()
+        self.each(Replica::stable_seq)
     }
 
     /// Each replica's memory footprint (bounded-memory assertions).
     pub fn footprints(&self) -> Vec<crate::replica::ReplicaFootprint> {
-        self.replicas
-            .iter()
-            .map(|r| r.borrow().replica.footprint())
-            .collect()
+        self.each(Replica::footprint)
     }
 
     /// Steps the simulation up to `steps` times with no client activity —
@@ -300,266 +340,92 @@ impl SimCluster {
         }
     }
 
-    /// Invokes `op` from client `client_idx`; runs the simulation until the
-    /// client accepts a result (`f+1` matching replies) or the step budget
-    /// runs out (`None` — e.g. when too many replicas are faulty).
-    pub fn invoke(&mut self, client_idx: usize, op: OpCall<'static>) -> Option<OpResult> {
-        self.invoke_many(vec![(client_idx, op)]).pop().flatten()
+    /// Starts the op machine `start` makes at client `client_idx`: its
+    /// first messages go out now.
+    pub(crate) fn start(
+        &mut self,
+        client_idx: usize,
+        start: impl FnOnce(&ClientCore, Duration) -> (OpMachine, Io),
+    ) -> OpId {
+        let now = self.net.now();
+        let mut client = self.clients[client_idx].borrow_mut();
+        let (op, io) = start(&client.core, Duration::from_micros(now));
+        let req_id = op.first_req_id();
+        client.ops.insert(req_id, (op, SimTime::MAX));
+        let (frames, timer) = client.apply(req_id, io, now);
+        drop(client);
+        let node = (self.replicas.len() + client_idx) as NodeId;
+        for (to, frame) in frames {
+            self.net.inject(node, to, frame);
+        }
+        if let Some((delay, token)) = timer {
+            self.net.set_timer(node, delay, token);
+        }
+        OpId {
+            client: client_idx,
+            req_id,
+        }
     }
 
-    /// Injects every request up-front — all concurrently in flight, so the
-    /// primary orders them through its batching/pipelining window — and
-    /// runs the simulation until every client accepted a result or the
-    /// step budget runs out. Returns one result per input, in input order.
-    pub fn invoke_many(&mut self, ops: Vec<(usize, OpCall<'static>)>) -> Vec<Option<OpResult>> {
-        type Decided = Option<(Seq, OpResult)>;
-        let mut sessions: Vec<(usize, ClientSession, Decided)> = Vec::new();
-        for (client_idx, op) in ops {
-            let c = &mut self.clients[client_idx];
-            c.next_req_id += 1;
-            c.replies.borrow_mut().clear();
-            let session = ClientSession::new(c.pid, c.next_req_id, op, self.f);
-            sessions.push((client_idx, session, None));
-        }
-
-        let broadcast = |cluster: &mut SimCluster, sessions: &[(usize, ClientSession, Decided)]| {
-            for (client_idx, session, decided) in sessions {
-                if decided.is_some() {
-                    continue;
-                }
-                cluster.broadcast(*client_idx, &session.request_message());
-            }
-        };
-        broadcast(self, &sessions);
-
+    /// Runs the simulation until every op of `ops` has an outcome or the
+    /// step budget runs out.
+    pub(crate) fn run(&mut self, ops: &[OpId]) {
         let mut steps = 0u64;
-        let mut next_retransmit = 20_000u64;
-        while steps < self.step_budget && sessions.iter().any(|(_, _, d)| d.is_none()) {
-            if !self.net.step() {
-                // Queue drained: retransmit (messages may have been
-                // dropped).
-                broadcast(self, &sessions);
-            }
+        let pending = |c: &Self| ops.iter().any(|&op| c.outcome(op).is_none());
+        while steps < self.step_budget && pending(self) && self.net.step() {
             steps += 1;
-            if steps == next_retransmit {
-                broadcast(self, &sessions);
-                next_retransmit += 20_000;
-            }
-            let client_ids: Vec<usize> = sessions.iter().map(|(c, _, _)| *c).collect();
-            for client_idx in client_ids {
-                for reply in self.take_replies(client_idx) {
-                    let Some((replica, rid, seq, result)) = reply.ordered() else {
-                        continue; // late fast-read replies: not ours
-                    };
-                    // `on_reply` ignores foreign req_ids, so feeding every
-                    // session of this client is safe.
-                    for (idx, session, decided) in sessions.iter_mut() {
-                        if *idx != client_idx || decided.is_some() {
-                            continue;
-                        }
-                        if let Some(pair) = session.on_reply(replica, rid, seq, result.clone()) {
-                            *decided = Some(pair);
-                        }
-                    }
-                }
-            }
         }
-        // Accepted (quorum-backed) seqs advance the clients' read
-        // watermarks — the fast path's read-your-writes anchor.
-        for (client_idx, _, decided) in &sessions {
-            if let Some((seq, _)) = decided {
-                let w = &mut self.clients[*client_idx].watermark;
-                *w = (*w).max(*seq);
-            }
-        }
-        sessions
-            .into_iter()
-            .map(|(_, _, d)| d.map(|(_, r)| r))
-            .collect()
     }
 
-    /// Takes every reply client `client_idx` has received so far.
-    fn take_replies(&self, client_idx: usize) -> Vec<ReplyEnvelope> {
-        std::mem::take(&mut *self.clients[client_idx].replies.borrow_mut())
+    /// The outcome of `op`, once it has one: the result `f+1` replicas
+    /// agreed on, or the error the deployed handle would report.
+    pub(crate) fn outcome(&self, op: OpId) -> Option<SpaceResult<OpResult>> {
+        let client = self.clients[op.client].borrow();
+        client.outcomes.get(&op.req_id).cloned()
+    }
+
+    /// Invokes `op` from client `client_idx` on the ordered path; runs the
+    /// simulation until the client accepts a result (`f+1` matching
+    /// replies) — `None` if it gives up first (e.g. when too many replicas
+    /// are faulty).
+    pub fn invoke(&mut self, client_idx: usize, op: OpCall<'static>) -> Option<OpResult> {
+        let op = RequestOp::Call(op);
+        let id = self.start(client_idx, |core, now| OpMachine::ordered(core, op, now));
+        self.run(&[id]);
+        self.outcome(id)?.ok()
+    }
+
+    /// Read-only invocation as the deployed handle runs it: fast path
+    /// first, ordered fallback on disagreement or timeout.
+    pub fn invoke_read(&mut self, client_idx: usize, op: OpCall<'static>) -> Option<OpResult> {
+        let id = self.start(client_idx, |core, now| OpMachine::read(core, op, now));
+        self.run(&[id]);
+        self.outcome(id)?.ok()
+    }
+
+    fn core<R>(&self, client_idx: usize, f: impl FnOnce(&ClientCore) -> R) -> R {
+        f(&self.clients[client_idx].borrow().core)
     }
 
     /// The client's current read watermark.
     pub fn watermark(&self, client_idx: usize) -> Seq {
-        self.clients[client_idx].watermark
+        self.core(client_idx, ClientCore::watermark)
     }
 
-    /// One fast-read round from `client_idx` at its current watermark.
-    /// Accepted reads advance the watermark (monotonic reads).
-    pub fn try_fast_read(&mut self, client_idx: usize, op: OpCall<'static>) -> FastRead {
-        let watermark = self.clients[client_idx].watermark;
-        self.try_fast_read_with_watermark(client_idx, op, watermark)
+    /// Raises the client's read watermark to `seq`, as if a quorum had
+    /// acknowledged it — tests inflate it to make every reply stale.
+    pub fn raise_watermark(&mut self, client_idx: usize, seq: Seq) {
+        self.core(client_idx, |core| core.observe(seq));
     }
 
-    /// One fast-read round with an explicit watermark — tests inflate it to
-    /// force every reply stale and prove the ordered fallback engages.
-    pub fn try_fast_read_with_watermark(
-        &mut self,
-        client_idx: usize,
-        op: OpCall<'static>,
-        watermark: Seq,
-    ) -> FastRead {
-        let n_replicas = self.replicas.len();
-        let (req_id, msg) = {
-            let c = &mut self.clients[client_idx];
-            c.next_req_id += 1;
-            c.replies.borrow_mut().clear();
-            (
-                c.next_req_id,
-                Message::ReadRequest {
-                    client: c.pid,
-                    req_id: c.next_req_id,
-                    op,
-                    watermark,
-                },
-            )
-        };
-        let mut session = ReadSession::new(req_id, watermark, self.f, n_replicas);
-        self.broadcast(client_idx, &msg);
-        let mut steps = 0u64;
-        while steps < self.step_budget {
-            let live = self.net.step();
-            steps += 1;
-            for reply in self.take_replies(client_idx) {
-                let ReplyEnvelope::Fast {
-                    replica,
-                    req_id: rid,
-                    seq,
-                    digest,
-                    result,
-                } = reply
-                else {
-                    continue;
-                };
-                match session.on_read_reply(replica, rid, seq, digest, result) {
-                    ReadPoll::Accepted { seq, result } => {
-                        let w = &mut self.clients[client_idx].watermark;
-                        *w = (*w).max(seq);
-                        return FastRead::Accepted { seq, result };
-                    }
-                    ReadPoll::NoQuorum => return FastRead::NoQuorum,
-                    ReadPoll::Pending => {}
-                }
-            }
-            if !live {
-                break; // network drained without a quorum
-            }
-        }
-        FastRead::Timeout
+    /// Reads the client served on the fast path, and reads it fell back
+    /// to the ordered path for.
+    pub fn fast_reads(&self, client_idx: usize) -> (u64, u64) {
+        let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        self.core(client_idx, |c| {
+            (load(&c.fast_served), load(&c.fast_read_fallbacks))
+        })
     }
-
-    /// Read-only invocation mirroring the runtime handle: fast path first,
-    /// ordered fallback on `NoQuorum`/timeout.
-    pub fn invoke_read(&mut self, client_idx: usize, op: OpCall<'static>) -> Option<OpResult> {
-        match self.try_fast_read(client_idx, op.clone()) {
-            FastRead::Accepted { result, .. } => Some(result),
-            FastRead::NoQuorum | FastRead::Timeout => self.invoke(client_idx, op),
-        }
-    }
-
-    /// Injects `msg` from `client_idx` to every replica: encoded once,
-    /// MAC'd per recipient (as `ReplicatedPeats::broadcast` does).
-    fn broadcast(&mut self, client_idx: usize, msg: &Message) {
-        let body = msg.to_bytes();
-        let c = &self.clients[client_idx];
-        for r in 0..self.replicas.len() as NodeId {
-            let frame = Sealed::frame(&c.keys, u64::from(r), &body);
-            self.net.inject(c.node, r, frame);
-        }
-    }
-
-    /// Broadcasts an ordered `Register` from `client_idx` and runs the
-    /// simulation until `f+1` replicas acknowledge the park (returning the
-    /// in-flight block) or the call decides immediately against a tuple
-    /// already in the space (returning `Some(result)` alongside it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the registration is neither acknowledged nor decided
-    /// within the step budget.
-    pub fn begin_blocking(
-        &mut self,
-        client_idx: usize,
-        template: Template,
-        kind: WaitKind,
-    ) -> (SimBlocked, Option<OpResult>) {
-        let c = &mut self.clients[client_idx];
-        c.next_req_id += 1;
-        c.replies.borrow_mut().clear();
-        let mut session = BlockingSession::new(c.pid, c.next_req_id, template, kind, false, self.f);
-        self.broadcast(client_idx, &session.request_message());
-        let mut steps = 0u64;
-        while steps < self.step_budget {
-            if !self.net.step() {
-                self.broadcast(client_idx, &session.request_message());
-            }
-            steps += 1;
-            for reply in self.take_replies(client_idx) {
-                let Some((replica, req_id, seq, result)) = reply.ordered() else {
-                    continue;
-                };
-                match session.on_reply(replica, req_id, seq, result) {
-                    BlockingPoll::Decided(_, result) => {
-                        return (
-                            SimBlocked {
-                                client_idx,
-                                session,
-                            },
-                            Some(result),
-                        )
-                    }
-                    BlockingPoll::Parked(_) => {
-                        return (
-                            SimBlocked {
-                                client_idx,
-                                session,
-                            },
-                            None,
-                        )
-                    }
-                    BlockingPoll::Pending => {}
-                }
-            }
-        }
-        panic!("registration was neither acknowledged nor decided within the step budget");
-    }
-
-    /// Runs the simulation feeding the blocked client's pushed wakes into
-    /// its session until the invoke decides or `budget` steps elapse
-    /// (`None`: still blocked — which is the *correct* outcome while no
-    /// matching tuple has been written and forged wakes are in flight).
-    pub fn pump_blocked(&mut self, blocked: &mut SimBlocked, budget: u64) -> Option<OpResult> {
-        let mut steps = 0u64;
-        loop {
-            for reply in self.take_replies(blocked.client_idx) {
-                let Some((replica, req_id, seq, result)) = reply.ordered() else {
-                    continue;
-                };
-                if let BlockingPoll::Decided(_, result) =
-                    blocked.session.on_reply(replica, req_id, seq, result)
-                {
-                    return Some(result);
-                }
-            }
-            if steps >= budget {
-                return None;
-            }
-            self.net.step();
-            steps += 1;
-        }
-    }
-}
-
-/// An in-flight blocked `rd`/`take` at a simulated client: the ordered
-/// `Register` committed and `f+1` replicas confirmed the park. Feed it to
-/// [`SimCluster::pump_blocked`] to collect the pushed wakes.
-pub struct SimBlocked {
-    client_idx: usize,
-    session: BlockingSession,
 }
 
 impl std::fmt::Debug for SimCluster {
@@ -574,7 +440,46 @@ impl std::fmt::Debug for SimCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use peats_tuplespace::{template, tuple};
+    use crate::messages::WaitKind;
+    use peats::SpaceError;
+    use peats_tuplespace::{template, tuple, Template};
+
+    /// Starts a blocking op at `client` and runs until it has parked.
+    fn park(c: &mut SimCluster, client: usize, template: Template, kind: WaitKind) -> OpId {
+        let op = c.start(client, |core, now| {
+            OpMachine::blocking(core, template, kind, now)
+        });
+        c.settle(1_000);
+        assert_eq!(
+            c.outcome(op),
+            None,
+            "nothing to match yet: the op must park"
+        );
+        op
+    }
+
+    /// Starts every op up-front — all concurrently in flight, so the
+    /// primary orders them through its batching/pipelining window — and
+    /// runs until each has an outcome.
+    fn invoke_many(
+        c: &mut SimCluster,
+        ops: Vec<(usize, OpCall<'static>)>,
+    ) -> Vec<Option<OpResult>> {
+        let ordered =
+            |op| move |core: &ClientCore, now| OpMachine::ordered(core, RequestOp::Call(op), now);
+        let ids: Vec<OpId> = ops
+            .into_iter()
+            .map(|(i, op)| c.start(i, ordered(op)))
+            .collect();
+        c.run(&ids);
+        ids.into_iter().map(|id| c.outcome(id)?.ok()).collect()
+    }
+
+    /// Runs until `op` has an outcome, and returns it.
+    fn finish(c: &mut SimCluster, op: OpId) -> Option<SpaceResult<OpResult>> {
+        c.run(&[op]);
+        c.outcome(op)
+    }
 
     fn cluster(f: usize, clients: &[u64]) -> SimCluster {
         SimCluster::new(
@@ -647,7 +552,7 @@ mod tests {
         let ops: Vec<(usize, OpCall<'static>)> = (0..6i64)
             .map(|i| ((i % 2) as usize, OpCall::out(tuple!["B", i])))
             .collect();
-        let results = c.invoke_many(ops);
+        let results = invoke_many(&mut c, ops);
         assert_eq!(results, vec![Some(OpResult::Done); 6]);
         let digests = c.state_digests();
         assert!(digests.windows(2).all(|w| w[0] == w[1]));
@@ -670,7 +575,7 @@ mod tests {
         let ops: Vec<(usize, OpCall<'static>)> = (0..6i64)
             .map(|i| ((i % 2) as usize, OpCall::out(tuple!["V", i])))
             .collect();
-        let results = c.invoke_many(ops);
+        let results = invoke_many(&mut c, ops);
         assert_eq!(results, vec![Some(OpResult::Done); 6]);
         assert!(c.views().iter().any(|v| *v > 0), "views: {:?}", c.views());
         // A 2f+1 quorum of correct replicas share the post-recovery state.
@@ -754,7 +659,7 @@ mod tests {
             let ops: Vec<(usize, OpCall<'static>)> = (0..4i64)
                 .map(|i| ((i % 2) as usize, OpCall::out(tuple!["L", r, i])))
                 .collect();
-            let results = c.invoke_many(ops);
+            let results = invoke_many(&mut c, ops);
             assert!(results.iter().all(|r| r.is_some()), "round {r} stalled");
         }
         c.settle(50_000);
@@ -867,8 +772,7 @@ mod tests {
         // view 0 must still be woken by an `out` that commits under the
         // view-1 primary after the original primary crashes mid-block.
         let mut c = cluster(1, &[100, 101]);
-        let (mut blocked, immediate) = c.begin_blocking(0, template!["VC", ?x], WaitKind::Rd);
-        assert_eq!(immediate, None, "nothing to match yet: the rd must park");
+        let blocked = park(&mut c, 0, template!["VC", ?x], WaitKind::Rd);
         c.set_fault(0, FaultMode::Crashed); // primary of view 0
         assert_eq!(
             c.invoke(1, OpCall::out(tuple!["VC", 7])),
@@ -876,8 +780,8 @@ mod tests {
         );
         assert!(c.views().iter().any(|v| *v > 0), "views: {:?}", c.views());
         assert_eq!(
-            c.pump_blocked(&mut blocked, 50_000),
-            Some(OpResult::Tuple(Some(tuple!["VC", 7]))),
+            finish(&mut c, blocked),
+            Some(Ok(OpResult::Tuple(Some(tuple!["VC", 7])))),
             "the new view's commits must wake the view-0 waiter"
         );
     }
@@ -894,8 +798,7 @@ mod tests {
         let interval = 2u64;
         let mut c = checkpointing_cluster(1, &[100, 101], interval, 4);
         c.set_fault(3, FaultMode::Crashed);
-        let (mut blocked, immediate) = c.begin_blocking(0, template!["XFER", ?x], WaitKind::Rd);
-        assert_eq!(immediate, None);
+        let blocked = park(&mut c, 0, template!["XFER", ?x], WaitKind::Rd);
         // Unrelated traffic crosses checkpoint boundaries; the Register's
         // slot is pruned cluster-wide.
         for i in 0..12i64 {
@@ -904,7 +807,9 @@ mod tests {
                 Some(OpResult::Done)
             );
         }
-        c.settle(50_000);
+        // Short settles: past `invoke_timeout` (10 s of simulated time,
+        // ~10k idle steps) the waiter would cancel its registration.
+        c.settle(1_000);
         assert!(c.stable_seqs()[0] > 0, "history must have been GC'd");
         assert_eq!(c.last_execs()[3], 0, "replica 3 slept through it all");
 
@@ -915,7 +820,7 @@ mod tests {
                 Some(OpResult::Done)
             );
         }
-        c.settle(100_000);
+        c.settle(2_000);
         let fp = c.footprints();
         assert_eq!(
             fp[3].registrations, 1,
@@ -931,8 +836,8 @@ mod tests {
             Some(OpResult::Done)
         );
         assert_eq!(
-            c.pump_blocked(&mut blocked, 100_000),
-            Some(OpResult::Tuple(Some(tuple!["XFER", 9]))),
+            finish(&mut c, blocked),
+            Some(Ok(OpResult::Tuple(Some(tuple!["XFER", 9])))),
             "the rejoined replica's wake must complete the quorum"
         );
     }
@@ -946,8 +851,7 @@ mod tests {
         // and must then decide on the true tuple, not the forgery.
         let mut c = cluster(1, &[100, 101]);
         c.set_fault(1, FaultMode::CorruptReplies);
-        let (mut blocked, immediate) = c.begin_blocking(0, template!["FORGE", ?x], WaitKind::Take);
-        assert_eq!(immediate, None);
+        let blocked = park(&mut c, 0, template!["FORGE", ?x], WaitKind::Take);
         // Unrelated traffic makes the corrupt replica chatter (every reply
         // it owes anyone is accompanied by a forged wake).
         for i in 0..4i64 {
@@ -956,8 +860,9 @@ mod tests {
                 Some(OpResult::Done)
             );
         }
+        c.settle(2_000);
         assert_eq!(
-            c.pump_blocked(&mut blocked, 30_000),
+            c.outcome(blocked),
             None,
             "forged wakes alone must not complete the blocked take"
         );
@@ -966,8 +871,8 @@ mod tests {
             Some(OpResult::Done)
         );
         assert_eq!(
-            c.pump_blocked(&mut blocked, 50_000),
-            Some(OpResult::Tuple(Some(tuple!["FORGE", 1]))),
+            finish(&mut c, blocked),
+            Some(Ok(OpResult::Tuple(Some(tuple!["FORGE", 1])))),
             "the honest quorum's wakes decide with the true tuple"
         );
         // The take consumed the tuple at its commit slot: it is gone from
@@ -994,5 +899,92 @@ mod tests {
         // correct replica's reference monitor.
         let r = c.invoke(1, OpCall::out(tuple!["PROPOSE", 0u64, 0]));
         assert!(matches!(r, Some(OpResult::Denied(_))), "{r:?}");
+    }
+
+    #[test]
+    fn a_fast_read_widens_past_a_crashed_probe_replica_on_virtual_time() {
+        let mut c = cluster(1, &[100]);
+        assert_eq!(
+            c.invoke(0, OpCall::out(tuple!["P", 1])),
+            Some(OpResult::Done)
+        );
+        // Replica 1 sits in the first probe window, {0, 1}: the window
+        // stays one answer short of f+1 until the probe times out.
+        c.set_fault(1, FaultMode::Crashed);
+        let start = c.net.now();
+        assert_eq!(
+            c.invoke_read(0, OpCall::rdp(template!["P", ?x])),
+            Some(OpResult::Tuple(Some(tuple!["P", 1])))
+        );
+        let probe = crate::client::READ_PROBE_TIMEOUT.as_micros() as SimTime;
+        let took = c.net.now() - start;
+        assert!(
+            (probe..2 * probe).contains(&took),
+            "decided after {took} µs; the probe times out after {probe} µs"
+        );
+        assert_eq!(c.fast_reads(0), (1, 0), "served fast, not by the fallback");
+    }
+
+    /// A `take` at client 0 that outlives `invoke_timeout`. With
+    /// `match_first`, an `out` of a match commits while the taker is cut
+    /// off from every replica: the match's wakes are lost, and only the
+    /// replicas' reply caches remember who won.
+    fn timed_out_take(match_first: bool) -> (SimCluster, Option<SpaceResult<OpResult>>) {
+        let mut c = cluster(1, &[100, 101]);
+        let take = park(&mut c, 0, template!["JOB", ?x], WaitKind::Take);
+        let taker = c.n_replicas() as NodeId;
+        if match_first {
+            (0..taker).for_each(|r| c.net.partition(r, taker));
+            let out = c.invoke(1, OpCall::out(tuple!["JOB", 1]));
+            assert_eq!(out, Some(OpResult::Done));
+            (0..taker).for_each(|r| c.net.heal(r, taker));
+        }
+        let outcome = finish(&mut c, take);
+        let timeout = ClientConfig::default().invoke_timeout.as_micros() as SimTime;
+        assert!(c.net.now() > timeout, "settled before the take timed out");
+        (c, outcome)
+    }
+
+    #[test]
+    fn a_timed_out_take_settles_its_race_with_the_cancel_either_way() {
+        let (mut c, outcome) = timed_out_take(false);
+        match outcome {
+            Some(Err(SpaceError::Unavailable(why))) => assert!(why.contains("cancelled"), "{why}"),
+            other => panic!("the cancel won, yet: {other:?}"),
+        }
+        // The cancelled registration takes nothing.
+        let job = || OpResult::Tuple(Some(tuple!["JOB", 2]));
+        assert_eq!(
+            c.invoke(1, OpCall::out(tuple!["JOB", 2])),
+            Some(OpResult::Done)
+        );
+        assert_eq!(c.invoke(1, OpCall::rdp(template!["JOB", ?x])), Some(job()));
+
+        // The tuple was taken on the taker's behalf: reporting a timeout
+        // would leak it.
+        let (mut c, outcome) = timed_out_take(true);
+        assert_eq!(outcome, Some(Ok(OpResult::Tuple(Some(tuple!["JOB", 1])))));
+        let gone = c.invoke(1, OpCall::rdp(template!["JOB", ?x]));
+        assert_eq!(gone, Some(OpResult::Tuple(None)));
+    }
+
+    #[test]
+    fn a_replica_cannot_vote_under_other_replicas_ids() {
+        // Replica 0 answers as itself and as replica 1, the rest of the
+        // first probe window, with one forged result: f+1 matching claims
+        // from one node, on every path.
+        let mut c = cluster(1, &[100, 101]);
+        c.set_fault(0, FaultMode::ImpersonatesReplicas);
+        let take = park(&mut c, 0, template!["J", ?x], WaitKind::Take);
+        for i in 0..3i64 {
+            let written = c.invoke(1, OpCall::out(tuple!["I", i]));
+            assert_eq!(written, Some(OpResult::Done));
+            let read = c.invoke_read(1, OpCall::rdp(template!["I", i]));
+            assert_eq!(read, Some(OpResult::Tuple(Some(tuple!["I", i]))));
+        }
+        let written = c.invoke(1, OpCall::out(tuple!["J", 1]));
+        assert_eq!(written, Some(OpResult::Done));
+        let taken = finish(&mut c, take);
+        assert_eq!(taken, Some(Ok(OpResult::Tuple(Some(tuple!["J", 1])))));
     }
 }

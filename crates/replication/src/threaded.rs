@@ -15,16 +15,16 @@
 //! `peats-consensus` and `peats-universal`.
 //!
 //! The simulator ([`SimCluster`](crate::SimCluster)) is not an instance:
-//! its clients are step-driven sans-io sessions, not handles.
+//! its clients run the handle's op machines on simulated time.
 
 use crate::faults::{FaultMode, Faulty};
 use crate::replica::{
     Replica, ReplicaConfig, ReplicaFootprint, DEFAULT_BATCH_CAP, DEFAULT_CHECKPOINT_INTERVAL,
     DEFAULT_MAX_IN_FLIGHT,
 };
-use crate::runtime::{replica_main, ClientConfig, ReplicatedPeats};
 use crate::service::PeatsService;
 use crate::wal::{DurableConfig, DurableStore};
+use crate::{replica_main, ClientConfig, ReplicatedPeats};
 use peats_auth::KeyTable;
 use peats_netsim::{NodeId, ThreadMailbox, ThreadNet, Transport};
 use peats_policy::{Policy, PolicyError, PolicyParams};

@@ -6,12 +6,14 @@
 //! `(seq, digest)` at `seq ≥` the client's watermark — the highest
 //! quorum-backed sequence number the client has ever had acknowledged.
 //! These tests drive the rule through the deterministic simulation
-//! harness: stale replicas, Byzantine reply forgers, watermark inflation,
-//! and reads across a view change.
+//! harness, whose clients run the deployed read policy (an `f+1` probe
+//! window that widens, then the ordered fallback): stale replicas,
+//! Byzantine reply forgers, watermark inflation, and reads across a view
+//! change.
 
 use peats_netsim::NetConfig;
 use peats_policy::{OpCall, Policy, PolicyParams};
-use peats_replication::sim_harness::{FastRead, SimCluster};
+use peats_replication::sim_harness::SimCluster;
 use peats_replication::{FaultMode, OpResult};
 use peats_tuplespace::{template, tuple};
 
@@ -36,17 +38,15 @@ fn fast_read_serves_without_ordering() {
     let watermark = c.watermark(0);
     assert!(watermark > 0, "the accepted write must set the watermark");
 
-    match c.try_fast_read(0, OpCall::rdp(template!["A", ?x])) {
-        FastRead::Accepted { seq, result } => {
-            assert_eq!(result, OpResult::Tuple(Some(tuple!["A", 1])));
-            assert!(seq >= watermark, "accepted at {seq}, watermark {watermark}");
-        }
-        other => panic!("fast read must decide in one round: {other:?}"),
-    }
-    match c.try_fast_read(0, OpCall::count(template!["A", ?x])) {
-        FastRead::Accepted { result, .. } => assert_eq!(result, OpResult::Count(1)),
-        other => panic!("fast count must decide: {other:?}"),
-    }
+    assert_eq!(
+        c.invoke_read(0, OpCall::rdp(template!["A", ?x])),
+        Some(OpResult::Tuple(Some(tuple!["A", 1])))
+    );
+    assert_eq!(
+        c.invoke_read(0, OpCall::count(template!["A", ?x])),
+        Some(OpResult::Count(1))
+    );
+    assert_eq!(c.fast_reads(0), (2, 0), "both decided in one round");
     // The reads went through no ordering round: no replica executed
     // anything new.
     assert_eq!(c.last_execs(), execs_before, "reads must not be ordered");
@@ -54,36 +54,29 @@ fn fast_read_serves_without_ordering() {
 
 #[test]
 fn stale_replica_reply_neither_wins_nor_blocks() {
-    // Replica 3 sleeps through the writes, then wakes stale: its fast-read
-    // answer (at its old last_exec) must be rejected by the watermark rule
-    // while the three fresh replicas still form the f+1 quorum.
+    // Replica 1 — in the first probe window, {0, 1} — sleeps through the
+    // writes, then wakes stale: its fast-read answer (at its old
+    // last_exec) must be rejected by the watermark rule, and the read
+    // widens to the fresh replicas, which form the f+1 quorum.
     let mut c = cluster(1, &[100]);
-    c.set_fault(3, FaultMode::Crashed);
+    c.set_fault(1, FaultMode::Crashed);
     for i in 0..3i64 {
         assert_eq!(
             c.invoke(0, OpCall::out(tuple!["W", i])),
             Some(OpResult::Done)
         );
     }
-    c.set_fault(3, FaultMode::Correct);
+    c.set_fault(1, FaultMode::Correct);
     let watermark = c.watermark(0);
     assert!(watermark > 0);
-    assert_eq!(c.last_execs()[3], 0, "replica 3 must actually be stale");
+    assert_eq!(c.last_execs()[1], 0, "replica 1 must actually be stale");
 
-    match c.try_fast_read(0, OpCall::rdp(template!["W", 2i64])) {
-        FastRead::Accepted { seq, result } => {
-            assert_eq!(
-                result,
-                OpResult::Tuple(Some(tuple!["W", 2i64])),
-                "read-your-writes: the write must be visible"
-            );
-            assert!(
-                seq >= watermark,
-                "stale seq {seq} won below watermark {watermark}"
-            );
-        }
-        other => panic!("fresh quorum must still decide: {other:?}"),
-    }
+    assert_eq!(
+        c.invoke_read(0, OpCall::rdp(template!["W", 2i64])),
+        Some(OpResult::Tuple(Some(tuple!["W", 2i64]))),
+        "read-your-writes: the write must be visible"
+    );
+    assert_eq!(c.fast_reads(0), (1, 0), "the fresh quorum decides");
 }
 
 #[test]
@@ -105,42 +98,37 @@ fn byzantine_forgery_is_masked_and_does_not_inflate_watermark() {
     );
 
     for round in 0..2 {
-        match c.try_fast_read(0, OpCall::rdp(template!["B", ?x])) {
-            FastRead::Accepted { seq, result } => {
-                assert_eq!(result, OpResult::Tuple(Some(tuple!["B", 9])));
-                assert!(seq < u64::MAX / 2, "round {round}: forged seq accepted");
-            }
-            other => panic!("round {round}: correct quorum must mask the forger: {other:?}"),
-        }
+        assert_eq!(
+            c.invoke_read(0, OpCall::rdp(template!["B", ?x])),
+            Some(OpResult::Tuple(Some(tuple!["B", 9]))),
+            "round {round}: correct quorum must mask the forger"
+        );
+        // An accepted read advances the watermark to its seq.
+        assert!(
+            c.watermark(0) < u64::MAX / 2,
+            "round {round}: forged seq accepted"
+        );
     }
-    assert!(
-        c.watermark(0) < u64::MAX / 2,
-        "watermark inflated after reads"
-    );
+    assert_eq!(c.fast_reads(0), (2, 0), "both rounds decided fast");
 }
 
 #[test]
 fn all_stale_replies_force_ordered_fallback() {
     // An artificially inflated watermark makes every reply stale: the
-    // session must demand fallback (NoQuorum/Timeout), never accept — and
-    // the ordered path must still answer correctly.
+    // fast path must never accept, and the read falls back to the ordered
+    // path, which still answers correctly.
     let mut c = cluster(1, &[100]);
     assert_eq!(
         c.invoke(0, OpCall::out(tuple!["C", 5])),
         Some(OpResult::Done)
     );
     let inflated = c.watermark(0) + 1_000;
-    match c.try_fast_read_with_watermark(0, OpCall::rdp(template!["C", ?x]), inflated) {
-        FastRead::NoQuorum | FastRead::Timeout => {}
-        FastRead::Accepted { seq, .. } => {
-            panic!("accepted at {seq} below the demanded watermark {inflated}")
-        }
-    }
-    // The fallback (ordered) path still serves the read.
+    c.raise_watermark(0, inflated);
     assert_eq!(
-        c.invoke(0, OpCall::rdp(template!["C", ?x])),
+        c.invoke_read(0, OpCall::rdp(template!["C", ?x])),
         Some(OpResult::Tuple(Some(tuple!["C", 5])))
     );
+    assert_eq!(c.fast_reads(0), (0, 1), "no reply at or above {inflated}");
 }
 
 #[test]
@@ -148,7 +136,8 @@ fn read_your_writes_holds_across_view_change() {
     // The primary of view 0 crashes; the write is ordered under the new
     // view. A fast read right after must see it: the watermark carried
     // from the ordered reply pins the read to post-write state, with only
-    // three live replicas left to form the f+1 quorum.
+    // three live replicas left to form the f+1 quorum (the crashed one
+    // sits in the probe window, so the read widens).
     let mut c = cluster(1, &[100]);
     c.set_fault(0, FaultMode::Crashed);
     assert_eq!(
@@ -156,19 +145,13 @@ fn read_your_writes_holds_across_view_change() {
         Some(OpResult::Done)
     );
     assert!(c.views().iter().any(|v| *v > 0), "views: {:?}", c.views());
-    let watermark = c.watermark(0);
 
-    match c.try_fast_read(0, OpCall::rdp(template!["V", ?x])) {
-        FastRead::Accepted { seq, result } => {
-            assert_eq!(
-                result,
-                OpResult::Tuple(Some(tuple!["V", 7])),
-                "the post-view-change write must be visible to the fast read"
-            );
-            assert!(seq >= watermark);
-        }
-        other => panic!("three live replicas must decide the read: {other:?}"),
-    }
+    assert_eq!(
+        c.invoke_read(0, OpCall::rdp(template!["V", ?x])),
+        Some(OpResult::Tuple(Some(tuple!["V", 7]))),
+        "the post-view-change write must be visible to the fast read"
+    );
+    assert_eq!(c.fast_reads(0), (1, 0), "three live replicas decide");
 }
 
 #[test]
@@ -192,4 +175,11 @@ fn invoke_read_falls_back_transparently() {
         c.invoke_read(0, OpCall::count(template!["D", ?x])),
         Some(OpResult::Count(1))
     );
+    assert_eq!(c.fast_reads(0), (2, 0));
+    c.raise_watermark(0, c.watermark(0) + 1_000);
+    assert_eq!(
+        c.invoke_read(0, OpCall::rdp(template!["D", ?x])),
+        Some(OpResult::Tuple(Some(tuple!["D", 1])))
+    );
+    assert_eq!(c.fast_reads(0), (2, 1));
 }
