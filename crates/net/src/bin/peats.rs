@@ -36,10 +36,6 @@ Operations (tuple syntax: '<\"tag\", 42, true, *, ?x: int>'):
   take '<template>'            remove a match, blocking
   cas  '<template>' '<tuple>'  insert the tuple iff no match exists
   count '<template>'           number of stored matches (quorum fast read)
-  watch '<template>'           follow future matching writes (pub/sub): a
-                               persistent server-side registration streams
-                               every committed match, one per line, until
-                               --events N are printed (default: forever)
 
 Policy tooling (no cluster connection):
   policy check <file>          statically analyze a policy file: prints the
@@ -61,8 +57,6 @@ Connection (flags may come from the environment as PEATS_<FLAG>):
   --master SECRET              shared MAC master secret
   --timeout-ms MS              give up after MS (default 10000)
   --retry-ms MS                rebroadcast interval (default 500)
-  --events N                   watch: exit after N events (default 0 = run
-                               until killed)
 ";
 
 fn main() {
@@ -143,18 +137,6 @@ fn run(args: Vec<String>) -> Result<i32, String> {
     let (transport, mailbox) = TcpTransport::connect(node, servers, TcpConfig::default());
     let keys = peats_auth::KeyTable::new(u64::from(node), master);
     let space = ReplicatedPeats::connect(transport, mailbox, keys, pid, f, n, cfg);
-
-    if op == "watch" {
-        if second.is_some() {
-            return Err("`watch` takes one argument".to_owned());
-        }
-        let events: u64 = flags.parse_or("events", 0u64)?;
-        return watch(
-            &space,
-            &parse_template(first).map_err(|e| e.to_string())?,
-            events,
-        );
-    }
 
     let outcome = match (op, second) {
         ("out", None) => space
@@ -251,50 +233,4 @@ fn policy_check(path: &str, flags: &Flags) -> Result<i32, String> {
         if warnings == 1 { "" } else { "s" },
     );
     Ok(if errors > 0 { 2 } else { 0 })
-}
-
-/// One persistent registration, a stream of certified events: each line is
-/// a committed `out` that matched, pushed by the replicas and accepted on
-/// `f+1` agreeing wakes. Lines flush immediately so `peats watch | ...`
-/// pipelines see events as they commit.
-fn watch(
-    space: &ReplicatedPeats<peats_net::TcpTransport>,
-    template: &peats_tuplespace::Template,
-    events: u64,
-) -> Result<i32, String> {
-    use std::io::Write;
-    let mut sub = match space.subscribe(template) {
-        Ok(sub) => sub,
-        Err(SpaceError::Denied(decision)) => {
-            eprintln!("peats: denied by policy: {decision}");
-            return Ok(2);
-        }
-        Err(SpaceError::Unavailable(why)) => {
-            eprintln!("peats: cluster unavailable: {why}");
-            return Ok(3);
-        }
-    };
-    let mut seen = 0u64;
-    while events == 0 || seen < events {
-        match sub.next_timeout(Duration::from_secs(1)) {
-            Ok(Some(t)) => {
-                println!("{t}");
-                let _ = std::io::stdout().flush();
-                seen += 1;
-            }
-            Ok(None) => {}
-            Err(SpaceError::Denied(decision)) => {
-                eprintln!("peats: denied by policy: {decision}");
-                return Ok(2);
-            }
-            Err(SpaceError::Unavailable(why)) => {
-                eprintln!("peats: cluster unavailable: {why}");
-                return Ok(3);
-            }
-        }
-    }
-    match sub.cancel() {
-        Ok(()) => Ok(0),
-        Err(_) => Ok(0), // events were delivered; teardown is best-effort
-    }
 }

@@ -39,6 +39,12 @@ pub mod text;
 pub use cluster::{TcpCluster, TcpClusterConfig, TcpFabric};
 pub use tcp::{TcpMailbox, TcpTransport};
 
+/// The version of what peers send each other: the replication messages,
+/// and the snapshots state transfer carries. A dialer's hello announces it,
+/// and an acceptor drops a connection that announces another (see
+/// [`tcp`]). Bump it with every change to an encoding a peer reads.
+pub const PROTOCOL_VERSION: u32 = 1;
+
 /// Tuning knobs for a [`TcpTransport`] endpoint.
 #[derive(Debug, Clone)]
 pub struct TcpConfig {

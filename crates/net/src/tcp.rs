@@ -6,9 +6,13 @@
 //! the sender — one id per connection — followed by the opaque message
 //! bytes the layer above produced (a MAC-sealed envelope — the
 //! transport-level sender id is advisory, authentication happens above).
-//! An empty-body frame is a *hello*: it announces the dialer's id so the
+//! A dialer's first frame on a connection is its *hello*: its id followed
+//! by [`PROTOCOL_VERSION`] (4 bytes LE). It announces the dialer so the
 //! acceptor can route replies back over the same connection before any
-//! request arrives.
+//! request arrives. An acceptor drops a connection whose first frame is not
+//! a hello of its own version before it delivers anything from it: peers of
+//! another version refuse each other instead of misreading each other's
+//! messages and snapshots.
 //!
 //! Topology: every endpoint dials its configured peers (one thread per
 //! peer, automatic reconnect with exponential backoff) and — when bound —
@@ -38,10 +42,11 @@
 //!
 //! The same pass does what else the read side owes: it accepts pending
 //! connections, registers an accepted peer's reverse link at its hello,
-//! drops a connection that sent a malformed, oversized or truncated frame
-//! or, having been accepted under one sender id, a frame under another
-//! (never a panic, never a stall for the others; a dialed peer is re-dialed,
-//! a hostile accepted peer is simply gone), and marks a dialed link down
+//! drops a connection that sent a malformed, oversized or truncated frame,
+//! a first frame that is no hello of this version, or, having been
+//! accepted under one sender id, a frame under another (never a panic,
+//! never a stall for the others; a dialed peer is re-dialed, a hostile
+//! accepted peer is simply gone), and marks a dialed link down
 //! when its connection ends, which wakes its dialer at once, so nothing is
 //! written into a dead socket. **All of it happens only while something
 //! reads the mailbox** — see [`Mailbox`]. A replica always does; a client
@@ -72,7 +77,7 @@
 //! semantics are those of [`ThreadNet::send`](peats_netsim::ThreadNet):
 //! messages may be dropped; the protocol layer retransmits.
 
-use crate::TcpConfig;
+use crate::{TcpConfig, PROTOCOL_VERSION};
 use peats_codec::frame::{append_frame, FrameReader};
 use peats_netsim::{Disconnected, Envelope, Mailbox, NodeId, Transport};
 use peats_poll::PollFd;
@@ -809,20 +814,20 @@ impl Conn {
             let from = NodeId::from_le_bytes(id.try_into().expect("split at 4"));
             if let Role::Accepted(reverse) = &mut self.role {
                 match reverse {
+                    // The first frame is the hello: registration only,
+                    // and only at this protocol version.
+                    None if body != PROTOCOL_VERSION.to_le_bytes() => return false,
                     None => {
                         let link = register_reverse_link(shared, &self.stream, from);
                         *reverse = Some((from, link));
+                        continue;
                     }
                     // One connection, one peer: a second id is malformed.
                     Some((announced, _)) if *announced != from => return false,
                     Some(_) => {}
                 }
             }
-            // A 4-byte frame is a hello: registration only, nothing to
-            // deliver.
-            if !body.is_empty() {
-                ready.push_back((from, body.to_vec()));
-            }
+            ready.push_back((from, body.to_vec()));
         }
     }
 
@@ -941,12 +946,13 @@ fn dial_loop(shared: Arc<Shared>, addr: SocketAddr, link: Arc<Link>) {
             }
         };
         backoff = shared.cfg.reconnect_min;
-        // Hello: announce our id so the acceptor can route to us before we
-        // send any real traffic. Nobody else can write yet — the link is
-        // still down.
+        // Hello: announce our id and version so the acceptor can route to
+        // us before we send any real traffic. Nobody else can write yet —
+        // the link is still down.
         let mut hello = Vec::new();
-        append_frame(&mut hello, &shared.me.to_le_bytes(), &[], 4)
-            .expect("4 bytes under a cap of 4");
+        let version = PROTOCOL_VERSION.to_le_bytes();
+        append_frame(&mut hello, &shared.me.to_le_bytes(), &version, 8)
+            .expect("8 bytes under a cap of 8");
         if (&*conn).write_all(&hello).is_ok() {
             if !link.connect(&conn) {
                 // Closed while dialing: the shutdown sweep never saw this

@@ -3,12 +3,13 @@
 //! clients, bounded drop-oldest queues, bounded sends to a peer that never
 //! reads, what hostile connections can and cannot do to the one thread
 //! that reads every socket of a node (malformed frames, half frames, single
-//! bytes, floods, arbitrary streams side by side), prompt accepts and
-//! shutdown, and full kill/respawn recovery of a replica over real sockets.
+//! bytes, floods, arbitrary streams side by side, hellos of another
+//! protocol version), prompt accepts and shutdown, and full kill/respawn
+//! recovery of a replica over real sockets.
 
 use peats::TupleSpace;
 use peats_net::tcp::WRITE_TIMEOUT;
-use peats_net::{TcpCluster, TcpClusterConfig, TcpConfig, TcpTransport};
+use peats_net::{TcpCluster, TcpClusterConfig, TcpConfig, TcpTransport, PROTOCOL_VERSION};
 use peats_netsim::{Mailbox, NodeId, Transport};
 use peats_policy::{Policy, PolicyParams};
 use peats_replication::{ClientConfig, ClusterConfig};
@@ -152,11 +153,23 @@ fn listening(cfg: TcpConfig) -> (TcpTransport, peats_net::TcpMailbox, SocketAddr
     (t, mb, addr)
 }
 
-/// The wire bytes of one frame from node `from`; an empty `body` is a hello.
+/// The wire bytes of one frame from node `from`.
 fn wire_frame(from: NodeId, body: &[u8]) -> Vec<u8> {
     let mut bytes = ((4 + body.len()) as u32).to_le_bytes().to_vec();
     bytes.extend_from_slice(&from.to_le_bytes());
     bytes.extend_from_slice(body);
+    bytes
+}
+
+/// The hello node `from` opens a connection with.
+fn hello(from: NodeId) -> Vec<u8> {
+    wire_frame(from, &PROTOCOL_VERSION.to_le_bytes())
+}
+
+/// A hello from `from`, then one frame of `body`.
+fn hello_then(from: NodeId, body: &[u8]) -> Vec<u8> {
+    let mut bytes = hello(from);
+    bytes.extend(wire_frame(from, body));
     bytes
 }
 
@@ -211,7 +224,7 @@ fn malformed_frames_disconnect_without_killing_the_endpoint() {
     .enumerate()
     {
         let mut s = raw_conn(addr);
-        let mut bytes = wire_frame(40 + i as NodeId, b"good first");
+        let mut bytes = hello_then(40 + i as NodeId, b"good first");
         bytes.extend_from_slice(bad);
         s.write_all(&bytes).unwrap();
         held.push(s);
@@ -257,6 +270,47 @@ fn malformed_frames_disconnect_without_killing_the_endpoint() {
     t.shutdown();
 }
 
+#[test]
+fn a_hello_of_another_protocol_version_is_dropped_before_anything_is_delivered() {
+    let (t, mb, addr) = listening(TcpConfig::default());
+    // The unversioned 4-byte hello of before, and a hello of a later
+    // version, each followed by a frame that must never surface.
+    let newer = (PROTOCOL_VERSION + 1).to_le_bytes();
+    let mut held = Vec::new();
+    for (from, hello) in [(20, wire_frame(20, b"")), (21, wire_frame(21, &newer))] {
+        let mut s = raw_conn(addr);
+        let mut bytes = hello;
+        bytes.extend(wire_frame(from, b"behind the hello"));
+        s.write_all(&bytes).unwrap();
+        held.push(s);
+    }
+    // The current hello still works.
+    let mut current = raw_conn(addr);
+    current.write_all(&hello_then(22, b"current")).unwrap();
+    let mut delivered = Vec::new();
+    while let Some(env) = recv_payload(&mb, Duration::from_millis(300)) {
+        delivered.push(env);
+    }
+    assert_eq!(delivered, vec![(22, b"current".to_vec())]);
+    for mut s in held {
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        assert!(
+            matches!(s.read(&mut [0; 8]), Ok(0) | Err(_)),
+            "the endpoint hangs up on a hello of another version"
+        );
+    }
+    // Only the current peer got a reverse link: a reply reaches it.
+    t.send(0, 22, b"reply".to_vec());
+    let expected = wire_frame(0, b"reply");
+    let mut got = vec![0; expected.len()];
+    current
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    current.read_exact(&mut got).unwrap();
+    assert_eq!(got, expected);
+    t.shutdown();
+}
+
 /// `accept_loop` used to sleep 20 ms whenever nothing was pending, so a
 /// fresh connection — a one-shot `peats out …` makes four — waited 10 ms on
 /// average before its hello was even read. The listener is in the poll set
@@ -282,9 +336,8 @@ fn a_fresh_connection_is_served_at_once_while_the_mailbox_is_read() {
         let mut s = raw_conn(addr);
         // Hello and request in one segment: both are in the socket buffer
         // by the time the connection is accepted.
-        let mut bytes = wire_frame(100 + i, b"");
-        bytes.extend(wire_frame(100 + i, b"one-shot request"));
-        s.write_all(&bytes).unwrap();
+        s.write_all(&hello_then(100 + i, b"one-shot request"))
+            .unwrap();
         let (envelope, at) = arrivals.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(envelope, (100 + i, b"one-shot request".to_vec()));
         waits.push(at.duration_since(start));
@@ -306,12 +359,13 @@ fn half_a_frame_holds_up_neither_other_connections_nor_the_deadline() {
     // The slow loris: a hello, then a length prefix and half a body.
     let whole = wire_frame(66, &[0x5A; 200]);
     let mut loris = raw_conn(addr);
-    loris.write_all(&wire_frame(66, b"")).unwrap();
+    loris.write_all(&hello(66)).unwrap();
     loris.write_all(&whole[..whole.len() / 2]).unwrap();
 
     // A second connection's frames keep arriving, in order, on time.
     let mut steady = raw_conn(addr);
     let sender = std::thread::spawn(move || {
+        steady.write_all(&hello(77)).unwrap();
         for i in 0..10u8 {
             steady.write_all(&wire_frame(77, &[i])).unwrap();
             std::thread::sleep(Duration::from_millis(5));
@@ -359,7 +413,7 @@ fn a_frame_sent_one_byte_per_write_arrives_once_and_whole() {
     let body: Vec<u8> = (0..=255).collect();
     let mut s = raw_conn(addr);
     let dribble = std::thread::spawn({
-        let bytes = wire_frame(9, &body);
+        let bytes = hello_then(9, &body);
         move || {
             for (i, byte) in bytes.iter().enumerate() {
                 s.write_all(std::slice::from_ref(byte)).unwrap();
@@ -386,6 +440,7 @@ fn a_flooding_connection_starves_no_other_and_cannot_outlast_a_deadline() {
         // As fast as the socket takes them, numbered, until told to stop.
         scope.spawn(|| {
             let mut s = raw_conn(addr);
+            s.write_all(&hello(1)).unwrap();
             let mut n = 0u64;
             while flooding.load(Ordering::Relaxed) {
                 let mut burst = Vec::new();
@@ -403,6 +458,7 @@ fn a_flooding_connection_starves_no_other_and_cannot_outlast_a_deadline() {
         // Beside it, a polite connection: 20 frames, 2 ms apart.
         scope.spawn(|| {
             let mut s = raw_conn(addr);
+            s.write_all(&hello(2)).unwrap();
             for i in 0..20u8 {
                 s.write_all(&wire_frame(2, &[i])).unwrap();
                 std::thread::sleep(Duration::from_millis(2));
@@ -482,7 +538,7 @@ enum Ending {
     NoSenderId(u8),
     /// A frame that promises more than is sent before the close.
     CutShort(Vec<u8>),
-    /// A hello, then a whole frame (or hello) under another sender id.
+    /// A whole frame under another sender id.
     OtherSender(Vec<u8>),
     /// Says nothing more and stays.
     Linger,
@@ -506,7 +562,7 @@ const SMALL_CAP: usize = 256;
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Three connections at once, each a run of good frames (and hellos)
+    /// Three connections at once, each a hello and a run of good frames
     /// followed by one way of going wrong, written in arbitrary chunks:
     /// nothing panics, every good frame is delivered exactly once and in
     /// its connection's order, and nothing else ever is.
@@ -526,12 +582,10 @@ proptest! {
         let mut wires = Vec::new();
         for (conn, (bodies, ending)) in good.iter().zip(&endings).enumerate() {
             let from = 10 + conn as NodeId;
-            let mut wire = Vec::new();
+            let mut wire = hello(from);
             for body in bodies {
                 wire.extend(wire_frame(from, body));
-                if !body.is_empty() {
-                    expected.entry(from).or_default().push(body.to_vec());
-                }
+                expected.entry(from).or_default().push(body.to_vec());
             }
             match ending {
                 Ending::Close | Ending::Linger => {}
@@ -548,12 +602,7 @@ proptest! {
                     wire.extend_from_slice(&from.to_le_bytes());
                     wire.extend_from_slice(sent);
                 }
-                Ending::OtherSender(body) => {
-                    // Behind a hello, so that `from` is the connection's id
-                    // even when it sent no good frame.
-                    wire.extend(wire_frame(from, b""));
-                    wire.extend(wire_frame(from + 100, body));
-                }
+                Ending::OtherSender(body) => wire.extend(wire_frame(from + 100, body)),
             }
             wires.push((wire, matches!(ending, Ending::Linger)));
         }

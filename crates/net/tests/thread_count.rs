@@ -6,7 +6,7 @@
 #![cfg(target_os = "linux")]
 
 use peats::TupleSpace;
-use peats_net::{TcpCluster, TcpClusterConfig};
+use peats_net::{TcpCluster, TcpClusterConfig, PROTOCOL_VERSION};
 use peats_policy::{Policy, PolicyParams};
 use peats_tuplespace::tuple;
 use std::io::Write;
@@ -65,8 +65,9 @@ fn inbound_connections_cost_a_drainer_each_and_no_reader() {
     let conns: Vec<TcpStream> = (0..16u32)
         .map(|i| {
             let mut s = TcpStream::connect(addr).unwrap();
-            let mut hello = 4u32.to_le_bytes().to_vec();
+            let mut hello = 8u32.to_le_bytes().to_vec();
             hello.extend_from_slice(&(1000 + i).to_le_bytes());
+            hello.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
             s.write_all(&hello).unwrap();
             s
         })

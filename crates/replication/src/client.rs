@@ -196,18 +196,11 @@ pub struct BlockingSession {
 impl BlockingSession {
     /// Starts a blocked invoke for `template` as process `client` under
     /// request `req_id`, tolerating `f` faulty replicas.
-    pub fn new(
-        client: u64,
-        req_id: u64,
-        template: Template,
-        kind: WaitKind,
-        persistent: bool,
-        f: usize,
-    ) -> Self {
+    pub fn new(client: u64, req_id: u64, template: Template, kind: WaitKind, f: usize) -> Self {
         let op = RequestOp::Register {
             template,
             kind,
-            persistent,
+            persistent: false,
         };
         BlockingSession::revote(Request { client, req_id, op }, f)
     }
@@ -268,78 +261,6 @@ impl BlockingSession {
     /// a write to replicated state).
     pub fn parked_at(&self) -> Option<Seq> {
         self.parked_at
-    }
-}
-
-/// Cap on concurrently tracked wake slots per subscription. A Byzantine
-/// replica spraying forged wakes at distinct fabricated seqs must not
-/// grow the vote store without bound; genuine wakes cluster at real
-/// slots and quorum out quickly, and forged seqs skew huge, so the
-/// highest tracked seqs are evicted first.
-const MAX_TRACKED_WAKES: usize = 1024;
-
-/// The wake-vote state of one *persistent* registration (channel
-/// pub/sub): each matching committed `out` produces one wake per correct
-/// replica at that `out`'s slot, and every slot reaching `f+1` matching
-/// results is delivered exactly once, in ascending slot order. Correct
-/// replicas emit wakes in execution order, so in-order delivery costs
-/// nothing in the common case; a slot whose wakes were partially lost
-/// while a later slot certified is skipped, not replayed — a persistent
-/// registration is a live tail, not a journal.
-#[derive(Debug)]
-pub struct WakeStreamSession {
-    req_id: u64,
-    f: usize,
-    n: usize,
-    votes: BTreeMap<Seq, BTreeMap<ReplicaId, OpResult>>,
-    /// Highest delivered slot: claims at or below it are duplicates of a
-    /// certified delivery (or stragglers of a skipped slot) and ignored.
-    delivered: Seq,
-}
-
-impl WakeStreamSession {
-    /// Starts the wake stream for the persistent registration `req_id`,
-    /// tolerating `f` faults among `n` replicas.
-    pub fn new(req_id: u64, f: usize, n: usize) -> Self {
-        WakeStreamSession {
-            req_id,
-            f,
-            n,
-            votes: BTreeMap::new(),
-            delivered: 0,
-        }
-    }
-
-    /// Feeds one wake claim; returns a newly quorum-certified
-    /// `(seq, result)` the first time slot `seq` reaches `f+1` matching
-    /// results.
-    pub fn on_wake(
-        &mut self,
-        replica: ReplicaId,
-        req_id: u64,
-        seq: Seq,
-        result: OpResult,
-    ) -> Option<(Seq, OpResult)> {
-        if req_id != self.req_id
-            || (replica as usize) >= self.n
-            || result == OpResult::Registered
-            || seq <= self.delivered
-        {
-            return None;
-        }
-        let slot = self.votes.entry(seq).or_default();
-        slot.insert(replica, result);
-        if let Some(result) = quorum(slot.values(), self.f).cloned() {
-            self.delivered = seq;
-            // Everything at or below the certified slot is settled (or
-            // skipped); only later slots can still quorum.
-            self.votes = self.votes.split_off(&(seq + 1));
-            return Some((seq, result));
-        }
-        while self.votes.len() > MAX_TRACKED_WAKES {
-            self.votes.pop_last();
-        }
-        None
     }
 }
 
@@ -503,15 +424,6 @@ impl ReplyEnvelope {
         };
         (u64::from(replica) == from && (replica as usize) < n).then_some(envelope)
     }
-
-    /// The arguments of the ordered sessions' `on_reply`/`on_wake`; `None`
-    /// for a fast read's reply.
-    pub(crate) fn ordered(self) -> Option<(ReplicaId, u64, Seq, OpResult)> {
-        let (replica, req_id, seq) = (self.replica, self.req_id, self.seq);
-        self.digest
-            .is_none()
-            .then_some((replica, req_id, seq, self.result))
-    }
 }
 
 /// One client: who it is, the group it talks to, its timing, and the state
@@ -572,17 +484,6 @@ impl ClientCore {
     /// Advances the read watermark to the quorum-backed `seq`.
     pub(crate) fn observe(&self, seq: Seq) {
         self.watermark.fetch_max(seq, Ordering::Relaxed);
-    }
-
-    /// A persistent registration for `template`: its request id, its park
-    /// vote and its wake stream.
-    pub(crate) fn subscribe(
-        &self,
-        template: Template,
-    ) -> (u64, BlockingSession, WakeStreamSession) {
-        let req_id = self.fresh_req_id();
-        let park = BlockingSession::new(self.pid, req_id, template, WaitKind::Rd, true, self.f);
-        (req_id, park, WakeStreamSession::new(req_id, self.f, self.n))
     }
 }
 
@@ -704,7 +605,7 @@ impl OpMachine {
         now: Duration,
     ) -> (Self, Io) {
         let req_id = core.fresh_req_id();
-        let session = BlockingSession::new(core.pid, req_id, template, kind, false, core.f);
+        let session = BlockingSession::new(core.pid, req_id, template, kind, core.f);
         let msg = session.request_message();
         Self::start(req_id, Phase::Blocked(session), msg, core, now)
     }
@@ -1024,14 +925,7 @@ mod tests {
     }
 
     fn mk_blocking() -> BlockingSession {
-        BlockingSession::new(
-            9,
-            1,
-            peats_tuplespace::template!["A", ?x],
-            WaitKind::Rd,
-            false,
-            1,
-        )
+        BlockingSession::new(9, 1, peats_tuplespace::template!["A", ?x], WaitKind::Rd, 1)
     }
 
     #[test]
@@ -1107,39 +1001,6 @@ mod tests {
             s.on_reply(1, 1, 9, woken.clone()),
             BlockingPoll::Decided(9, woken)
         );
-    }
-
-    #[test]
-    fn wake_stream_delivers_each_slot_once_in_order() {
-        let mut s = WakeStreamSession::new(1, 1, 4);
-        let ev1 = OpResult::Tuple(Some(tuple!["EV", 1]));
-        let ev2 = OpResult::Tuple(Some(tuple!["EV", 2]));
-        assert_eq!(s.on_wake(0, 1, 10, ev1.clone()), None);
-        assert_eq!(s.on_wake(1, 1, 10, ev1.clone()), Some((10, ev1.clone())));
-        // Stragglers for a delivered slot cannot re-deliver it.
-        assert_eq!(s.on_wake(2, 1, 10, ev1.clone()), None);
-        assert_eq!(s.on_wake(3, 1, 10, ev1), None);
-        assert_eq!(s.on_wake(0, 1, 12, ev2.clone()), None);
-        assert_eq!(s.on_wake(2, 1, 12, ev2.clone()), Some((12, ev2)));
-    }
-
-    #[test]
-    fn wake_stream_bounds_forged_slot_votes() {
-        let mut s = WakeStreamSession::new(1, 1, 4);
-        let forged = OpResult::Tuple(Some(tuple!["EV", 666]));
-        // A Byzantine replica spraying distinct fabricated slots must not
-        // grow the vote store without bound — and a fake replica id must
-        // not vote at all.
-        for seq in 1..=5_000u64 {
-            assert_eq!(s.on_wake(3, 1, seq, forged.clone()), None);
-            assert_eq!(s.on_wake(9, 1, seq, forged.clone()), None);
-        }
-        assert!(s.votes.len() <= MAX_TRACKED_WAKES);
-        // Genuine wakes at a low slot still certify (forged junk skews
-        // high and is evicted first).
-        let ev = OpResult::Tuple(Some(tuple!["EV", 1]));
-        assert_eq!(s.on_wake(0, 1, 3, ev.clone()), None);
-        assert_eq!(s.on_wake(1, 1, 3, ev.clone()), Some((3, ev)));
     }
 
     #[test]

@@ -55,7 +55,6 @@ pub mod wal;
 
 pub use client::{
     BlockingPoll, BlockingSession, ClientConfig, ClientSession, ReadPoll, ReadSession,
-    WakeStreamSession,
 };
 pub use faults::FaultMode;
 pub use messages::{
@@ -63,7 +62,7 @@ pub use messages::{
     Sealed, Seq, View, WaitKind,
 };
 pub use replica::{Dest, Replica, ReplicaConfig, ReplicaFootprint};
-pub use runtime::{replica_main, ship, ReplicatedPeats, Subscription};
+pub use runtime::{replica_main, ship, ReplicatedPeats};
 pub use service::PeatsService;
 pub use sim_harness::SimCluster;
 pub use threaded::{Cluster, ClusterConfig, Fabric, ThreadedCluster};

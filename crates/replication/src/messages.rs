@@ -148,16 +148,17 @@ impl Decode for WaitKind {
 pub enum RequestOp {
     /// A PEATS operation executed immediately against the space.
     Call(OpCall<'static>),
-    /// Park `template` server-side: replicas wake the client with an
-    /// unsolicited [`Message::Wake`] when a matching `out` commits.
+    /// A blocking `rd`/`take`: served at once from a match already in the
+    /// space, or parked server-side until the first matching `out`
+    /// commits, which replicas announce with an unsolicited
+    /// [`Message::Wake`]. A registration fires once and is gone.
     Register {
         /// The template waited on.
         template: Template,
         /// Read (all matching waiters served) or take (one winner).
         kind: WaitKind,
-        /// `false`: one-shot — removed at the first match. `true`:
-        /// re-armed after every match (channel pub/sub); such
-        /// registrations never match existing tuples, only future `out`s.
+        /// Always `false`; a set flag does not decode. Kept so the wire
+        /// encoding is unchanged; removed by the next benchmark change.
         persistent: bool,
     },
     /// Remove the registration installed by this client's request
@@ -200,7 +201,13 @@ impl Decode for RequestOp {
             1 => RequestOp::Register {
                 template: Template::decode(r)?,
                 kind: WaitKind::decode(r)?,
-                persistent: bool::decode(r)?,
+                persistent: match u8::decode(r)? {
+                    0 => false,
+                    tag => {
+                        let ty = "RequestOp::Register persistent flag";
+                        return Err(DecodeError::BadTag { tag, ty });
+                    }
+                },
             },
             2 => RequestOp::Cancel {
                 target: u64::decode(r)?,
@@ -271,10 +278,11 @@ impl Decode for Request {
     }
 }
 
-/// One parked blocking-wait registration, as stored by the service's
-/// registration table and carried by snapshots. The table key (a
-/// deterministic arrival counter) rides separately so match order — and
-/// therefore which `take` waiter wins — is identical at every replica.
+/// One parked blocking `rd`/`take`, as stored by the service's
+/// registration table and carried by snapshots; it is removed when it
+/// fires or is cancelled. The table key (a deterministic arrival counter)
+/// rides separately so match order — and therefore which `take` waiter
+/// wins — is identical at every replica.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Registration {
     /// The waiting client's logical pid.
@@ -285,8 +293,6 @@ pub struct Registration {
     pub template: Template,
     /// Read or take.
     pub kind: WaitKind,
-    /// Re-arm after each match instead of firing once.
-    pub persistent: bool,
 }
 
 impl Encode for Registration {
@@ -295,7 +301,6 @@ impl Encode for Registration {
         self.req_id.encode(buf);
         self.template.encode(buf);
         self.kind.encode(buf);
-        self.persistent.encode(buf);
     }
 }
 
@@ -306,7 +311,6 @@ impl Decode for Registration {
             req_id: u64::decode(r)?,
             template: Template::decode(r)?,
             kind: WaitKind::decode(r)?,
-            persistent: bool::decode(r)?,
         })
     }
 }
@@ -1102,7 +1106,6 @@ mod tests {
                             req_id: 2,
                             template: template!["D", ?x],
                             kind: WaitKind::Rd,
-                            persistent: true,
                         },
                     )],
                     next_reg: 3,
@@ -1214,6 +1217,26 @@ mod tests {
         let sealed = Sealed::seal(&alice, 2, &Message::Request(sample_request()));
         let bytes = sealed.to_bytes();
         assert_eq!(Sealed::from_bytes(&bytes).unwrap(), sealed);
+    }
+
+    #[test]
+    fn a_set_persistent_flag_does_not_decode() {
+        let alice = KeyTable::new(1, b"master".to_vec());
+        let bob = KeyTable::new(2, b"master".to_vec());
+        let unset = Message::Request(register_request());
+        let (_, opened) = Sealed::seal(&alice, 2, &unset).open(&bob).expect("valid");
+        assert_eq!(opened, unset);
+
+        let mut set = register_request();
+        if let RequestOp::Register { persistent, .. } = &mut set.op {
+            *persistent = true;
+        }
+        let set = Message::Request(set);
+        assert!(Sealed::seal(&alice, 2, &set).open(&bob).is_none());
+        assert!(matches!(
+            Message::from_bytes(&set.to_bytes()),
+            Err(DecodeError::BadTag { tag: 1, .. })
+        ));
     }
 
     /// Wire bytes captured before `KeyTable` cached keyed HMAC states and

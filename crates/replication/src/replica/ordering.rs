@@ -365,13 +365,9 @@ impl Replica {
         }
         let result = match &req.op {
             RequestOp::Call(op) => self.service.execute(req.client, op),
-            RequestOp::Register {
-                template,
-                kind,
-                persistent,
-            } => self
+            RequestOp::Register { template, kind, .. } => self
                 .service
-                .register(req.client, req.req_id, template, *kind, *persistent),
+                .register(req.client, req.req_id, template, *kind),
             RequestOp::Cancel { target } => self.service.cancel(req.client, *target),
         };
         self.record_reply(req.client, req.req_id, seq, result.clone());

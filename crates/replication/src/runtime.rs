@@ -13,17 +13,16 @@
 //! invocation it answers; the rest block on those channels. A reader that
 //! leaves — decided, timed out, or unwinding — hands the role to a session
 //! that is blocked in a wait at that moment, never to one that is merely
-//! registered (a [`Subscription`] nobody is polling). So a reply to a
-//! handle with one invocation in flight goes from the transport straight
-//! to the thread that wants it, no invocation eats another's replies, and
-//! waiting is event-driven: reply latency is set by the cluster, not by a
-//! poll tick. A handle with no invocation waiting does not read at all;
-//! what arrives meanwhile — the `n − (f+1)` replies that come in after a
-//! decision — stays in the mailbox until the next wait drops it.
+//! registered (an op that is sending, before its first wait or between
+//! two). So a reply to a handle with one invocation in flight goes from
+//! the transport straight to the thread that wants it, no invocation eats
+//! another's replies, and waiting is event-driven: reply latency is set by
+//! the cluster, not by a poll tick. A handle with no invocation waiting
+//! does not read at all; what arrives meanwhile — the `n − (f+1)` replies
+//! that come in after a decision — stays in the mailbox until the next
+//! wait drops it.
 
-use crate::client::{
-    BlockingPoll, ClientConfig, ClientCore, Io, OpMachine, ReplyEnvelope, WakeStreamSession,
-};
+use crate::client::{ClientConfig, ClientCore, Io, OpMachine, ReplyEnvelope};
 use crate::messages::{Message, OpResult, RequestOp, Sealed, Seq, WaitKind};
 use crate::replica::{Dest, Replica};
 use peats::{CasOutcome, SpaceError, SpaceResult, TupleSpace};
@@ -32,7 +31,7 @@ use peats_codec::Encode;
 use peats_netsim::{Mailbox, NodeId, ThreadNet, Transport};
 use peats_policy::OpCall;
 use peats_tuplespace::{Template, Tuple};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -216,8 +215,8 @@ struct Session {
     /// of the op whose fallback or cancel it routes.
     owner: u64,
     /// Its owner is blocked on the channel inside [`ReplyDemux::wait`]. A
-    /// registered session need not be: a [`Subscription`] between two
-    /// `next_timeout` calls.
+    /// registered session need not be: `drive` registers before its first
+    /// wait and stays registered between waits, while it sends.
     waiting: bool,
 }
 
@@ -514,11 +513,11 @@ pub struct ReplicatedPeats<T: Transport = ThreadNet> {
 
 impl<T: Transport> ReplicatedPeats<T> {
     /// Builds a client handle for logical process `pid` at transport node
-    /// `mailbox.id()`. The handle keeps `mailbox` (until its last clone
-    /// and last [`Subscription`] are dropped) and starts no thread: replies
-    /// are received by whichever invocation is waiting for one. The
-    /// cluster has `n_replicas = 3f+1` replicas at node ids
-    /// `0..n_replicas`; `keys` must hold this node's pairwise MACs.
+    /// `mailbox.id()`. The handle keeps `mailbox` (until its last clone is
+    /// dropped) and starts no thread: replies are received by whichever
+    /// invocation is waiting for one. The cluster has `n_replicas = 3f+1`
+    /// replicas at node ids `0..n_replicas`; `keys` must hold this node's
+    /// pairwise MACs.
     pub fn connect(
         net: T,
         mailbox: T::Mailbox,
@@ -615,85 +614,6 @@ impl<T: Transport> ReplicatedPeats<T> {
         }
     }
 
-    /// Parks a *persistent* registration for `template`: every future
-    /// committed `out` that matches is pushed to the returned
-    /// [`Subscription`] as a certified event, in commit order, without any
-    /// client polling. The live tail starts at the registration's commit
-    /// slot — tuples already in the space are not replayed (pair with
-    /// [`rdp`](TupleSpace::rdp) for a snapshot-then-follow pattern).
-    pub fn subscribe(&self, template: &Template) -> SpaceResult<Subscription<T>> {
-        let (req_id, mut park, mut stream) = self.core.subscribe(template.clone());
-        let rx = self.demux.register(req_id);
-        let mut pending = VecDeque::new();
-        let all = 0..self.core.n;
-        self.send(&park.request_message(), all.clone());
-        let cfg = &self.core.cfg;
-        let deadline = Instant::now() + cfg.invoke_timeout;
-        let mut next_retry = Instant::now() + cfg.retry_interval;
-        let registered = loop {
-            let now = Instant::now();
-            if now >= deadline {
-                break Err(SpaceError::Unavailable(
-                    "no f+1 registration acks before timeout".into(),
-                ));
-            }
-            if now >= next_retry {
-                self.send(&park.request_message(), all.clone());
-                self.core.rebroadcasts.fetch_add(1, Ordering::Relaxed);
-                next_retry = Instant::now() + cfg.retry_interval;
-            }
-            let until = next_retry.min(deadline);
-            let mine = |id| id == req_id;
-            match self.demux.wait(req_id, mine, &rx, until, |env| {
-                let (replica, rid, seq, result) = env.ordered()?;
-                // Wakes racing the park acknowledgement are certified
-                // through the stream session and queued so the subscriber
-                // sees them; `Registered` acks feed the park vote. Both
-                // sessions are fed — each ignores what the other consumes.
-                if let Some((seq, result)) = stream.on_wake(replica, rid, seq, result.clone()) {
-                    self.core.observe(seq);
-                    match result {
-                        OpResult::Tuple(Some(t)) => pending.push_back(t),
-                        OpResult::Denied(d) => return Some(Err(denied(d))),
-                        _ => {}
-                    }
-                }
-                match park.on_reply(replica, rid, seq, result) {
-                    BlockingPoll::Decided(seq, OpResult::Denied(d)) => {
-                        self.core.observe(seq);
-                        Some(Err(denied(d)))
-                    }
-                    // Parked is the normal ack; a decided (non-denied)
-                    // quorum means wakes outran the `Registered` acks —
-                    // the registration is committed and live either way.
-                    BlockingPoll::Parked(seq) | BlockingPoll::Decided(seq, _) => {
-                        self.core.observe(seq);
-                        Some(Ok(()))
-                    }
-                    BlockingPoll::Pending => None,
-                }
-            }) {
-                Waited::Decided(registered) => break registered,
-                Waited::TimedOut => {}
-                Waited::Closed => break Err(shut_down()),
-            }
-        };
-        match registered {
-            Ok(()) => Ok(Subscription {
-                handle: self.clone(),
-                req_id,
-                rx,
-                stream,
-                pending,
-                cancelled: false,
-            }),
-            Err(e) => {
-                self.demux.deregister(req_id);
-                Err(e)
-            }
-        }
-    }
-
     /// Total requests issued through this handle and its clones (each is
     /// one consensus round).
     pub fn issued_requests(&self) -> u64 {
@@ -728,96 +648,6 @@ impl<T: Transport> ReplicatedPeats<T> {
     /// observed).
     pub fn read_watermark(&self) -> Seq {
         self.core.watermark()
-    }
-}
-
-/// A live, certified stream of tuples matching a persistent registration:
-/// the replicated pub/sub primitive. Every committed `out` whose tuple
-/// matches the subscribed template is pushed by the replicas as a `Wake`;
-/// the subscription delivers each commit slot exactly once, in order, and
-/// only after `f+1` replicas agree on the slot's payload — a Byzantine
-/// replica cannot inject, reorder, or duplicate events.
-///
-/// Dropping the subscription fires a best-effort `Cancel` broadcast (the
-/// replicas prune the registration when it commits); call
-/// [`cancel`](Subscription::cancel) instead to *confirm* removal with a
-/// full ordered round.
-pub struct Subscription<T: Transport = ThreadNet> {
-    handle: ReplicatedPeats<T>,
-    req_id: u64,
-    rx: mpsc::Receiver<Routed>,
-    stream: WakeStreamSession,
-    /// Events certified while the subscribe handshake was still in flight.
-    pending: VecDeque<Tuple>,
-    cancelled: bool,
-}
-
-impl<T: Transport> Subscription<T> {
-    /// Waits up to `timeout` for the next certified event. `Ok(None)`
-    /// means no event arrived in time — the subscription stays live.
-    pub fn next_timeout(&mut self, timeout: Duration) -> SpaceResult<Option<Tuple>> {
-        if let Some(t) = self.pending.pop_front() {
-            return Ok(Some(t));
-        }
-        // Inside this call the subscription is a waiting session like any
-        // invocation (it may read the mailbox for its siblings); between
-        // calls it is only registered, and siblings queue its events.
-        let until = Instant::now() + timeout;
-        let mine = |id| id == self.req_id;
-        let event = self
-            .handle
-            .demux
-            .wait(self.req_id, mine, &self.rx, until, |env| {
-                let (replica, rid, seq, result) = env.ordered()?;
-                let (seq, result) = self.stream.on_wake(replica, rid, seq, result)?;
-                self.handle.core.observe(seq);
-                match result {
-                    OpResult::Tuple(Some(t)) => Some(Ok(t)),
-                    OpResult::Denied(d) => Some(Err(denied(d))),
-                    _ => None,
-                }
-            });
-        match event {
-            Waited::Decided(event) => event.map(Some),
-            Waited::TimedOut => Ok(None),
-            Waited::Closed => Err(shut_down()),
-        }
-    }
-
-    /// Tears the registration down with a full ordered `Cancel` round —
-    /// on `Ok`, the replicas have provably pruned it.
-    pub fn cancel(mut self) -> SpaceResult<()> {
-        self.cancelled = true;
-        self.handle.demux.deregister(self.req_id);
-        let cancel = RequestOp::Cancel {
-            target: self.req_id,
-        };
-        self.handle
-            .drive(|core, now| OpMachine::ordered(core, cancel, now))?;
-        Ok(())
-    }
-}
-
-impl<T: Transport> Drop for Subscription<T> {
-    fn drop(&mut self) {
-        self.handle.demux.deregister(self.req_id);
-        if self.cancelled {
-            return;
-        }
-        // Best-effort detach: one unacknowledged Cancel broadcast. Blocking
-        // on an ordered round inside Drop could stall the caller for the
-        // whole invoke timeout; if every copy of this broadcast is lost the
-        // registration survives until a later Cancel with the same target —
-        // replicas do not bound how many registrations a client holds.
-        let core = &self.handle.core;
-        let cancel = crate::messages::Request {
-            client: core.pid,
-            req_id: core.fresh_req_id(),
-            op: RequestOp::Cancel {
-                target: self.req_id,
-            },
-        };
-        self.handle.send(&Message::Request(cancel), 0..core.n);
     }
 }
 
@@ -1370,29 +1200,29 @@ mod tests {
 
     #[test]
     fn nothing_of_a_handle_outlives_its_last_clone() {
-        let Client { handle, seen, .. } = client(ClientConfig::default(), None, only_registers);
+        let Client { handle, seen, .. } =
+            client(ClientConfig::default(), None, all_reply(OpResult::Done));
         let clone = handle.clone();
-        let subscription = handle.subscribe(&template!["E", ?x]).unwrap();
         drop(handle);
-        drop(clone);
         assert!(
             !seen.dropped.load(Ordering::SeqCst),
-            "the subscription still receives through the mailbox"
+            "the clone still receives through the mailbox"
         );
-        drop(subscription);
+        clone.out(tuple!["A"]).unwrap();
+        drop(clone);
         assert!(
             seen.dropped.load(Ordering::SeqCst),
-            "the last owner gone, the mailbox must go with it"
+            "the last clone gone, the mailbox must go with it"
         );
     }
 
-    /// The two wakes that certify one event of subscription `req_id`.
-    fn deliver_event(net: &ScriptedReplicas, req_id: u64, seq: Seq, event: &Tuple) {
+    /// The two wakes that decide the blocked op `req_id` with `tuple`.
+    fn deliver_wake(net: &ScriptedReplicas, req_id: u64, seq: Seq, tuple: &Tuple) {
         for replica in [0, 1] {
             let wake = Message::Wake {
                 req_id,
                 seq,
-                result: OpResult::Tuple(Some(event.clone())),
+                result: OpResult::Tuple(Some(tuple.clone())),
                 replica,
             };
             net.deliver(replica, &wake);
@@ -1402,24 +1232,26 @@ mod tests {
     #[test]
     fn a_reader_that_times_out_hands_the_role_to_a_session_that_is_waiting() {
         let cfg = ClientConfig {
-            invoke_timeout: Duration::from_millis(300),
+            invoke_timeout: Duration::from_secs(2),
             retry_interval: Duration::from_secs(60),
             ..ClientConfig::default()
         };
         let c = client(cfg, None, only_registers);
-        let mut subscription = c.handle.subscribe(&template!["E", ?x]).unwrap(); // req 1
         std::thread::scope(|scope| {
-            let doomed = scope.spawn(|| c.handle.out(tuple!["A"])); // req 2
-            eventually("the out reads", || c.reader() == Some(2));
-            let tail = scope.spawn(|| subscription.next_timeout(Duration::from_secs(30)));
-            eventually("the subscriber waits", || c.waiting() == [1]);
+            let doomed = scope.spawn(|| c.handle.out(tuple!["A"])); // req 1
+            eventually("the out reads", || c.reader() == Some(1));
+            // Started half a timeout later, the take outlives the reader
+            // by as much: its deadline is not what this test is about.
+            std::thread::sleep(Duration::from_secs(1));
+            let take = scope.spawn(|| c.handle.take(&template!["E", ?x])); // req 2
+            eventually("the take waits", || c.waiting() == [2]);
 
             let why = unavailable(doomed.join().unwrap());
             assert!(why.contains("timeout"), "{why}");
-            // Nobody else is left to read this: only a subscriber that took
-            // the role over sees it.
-            deliver_event(&c.net, 1, 7, &tuple!["E", 1]);
-            assert_eq!(tail.join().unwrap().unwrap(), Some(tuple!["E", 1]));
+            // Nobody else is left to read this: only a parked take that
+            // took the role over sees it.
+            deliver_wake(&c.net, 2, 7, &tuple!["E", 1]);
+            assert_eq!(take.join().unwrap().unwrap(), tuple!["E", 1]);
         });
     }
 
@@ -1430,32 +1262,39 @@ mod tests {
             ..ClientConfig::default()
         };
         let c = client(cfg, None, only_registers);
-        let mut subscription = c.handle.subscribe(&template!["E", ?x]).unwrap(); // req 1
+        let demux = &c.handle.demux;
+        let idle = c.handle.core.fresh_req_id(); // req 1
+        let rx = demux.register(idle);
 
-        // A reader leaves while the subscription is registered but idle.
+        // A reader leaves while the session is registered but idle.
         unavailable(c.handle.out(tuple!["A"]));
         assert!(
             c.role_is_free(),
-            "an idle subscription cannot read: the role must not go to it"
+            "an idle session cannot read: the role must not go to it"
         );
 
-        // Events pushed while nobody waits stay where they are...
+        // Replies pushed while nobody waits stay where they are...
         let before = c.received();
-        for (seq, i) in [(5, 1), (6, 2), (9, 3)] {
-            deliver_event(&c.net, 1, seq, &tuple!["E", i]);
+        for replica in [0, 1, 2] {
+            c.net
+                .deliver(replica, &reply(replica, idle, OpResult::Done));
         }
         assert_eq!(c.received(), before);
-        // ...and the next `next_timeout` delivers them, in order.
-        for i in 1..=3 {
-            let event = subscription.next_timeout(Duration::from_secs(10)).unwrap();
-            assert_eq!(event, Some(tuple!["E", i]));
-        }
-        assert_eq!(
-            subscription
-                .next_timeout(Duration::from_millis(10))
-                .unwrap(),
-            None
+        // ...and the session's next wait hands them over, in order.
+        let mut from = Vec::new();
+        let until = Instant::now() + Duration::from_secs(10);
+        let waited = demux.wait(
+            idle,
+            |id| id == idle,
+            &rx,
+            until,
+            |env| {
+                from.push(env.replica);
+                (from.len() == 3).then_some(())
+            },
         );
+        assert!(matches!(waited, Waited::Decided(())));
+        assert_eq!(from, [0, 1, 2]);
     }
 
     #[test]

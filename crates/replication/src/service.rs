@@ -116,53 +116,33 @@ impl PeatsService {
     /// Inserts `entry`, first serving parked waiters in registration
     /// order: every matching `rd` waiter is woken with a copy, then the
     /// lowest-keyed matching `take` waiter consumes the entry — which in
-    /// that case never enters the space. One-shot registrations are
-    /// removed when they fire; persistent ones stay armed.
+    /// that case never enters the space. Every registration that fires is
+    /// removed: each serves one blocked op.
     fn publish(&mut self, entry: Tuple) {
-        let mut fired = Vec::new();
         let mut taken = false;
-        for (key, reg) in &self.registrations {
-            if !reg.template.matches(&entry) {
-                continue;
+        let wakes = &mut self.pending_wakes;
+        self.registrations.retain(|_, reg| {
+            let take = reg.kind == WaitKind::Take;
+            let fires = reg.template.matches(&entry) && !(take && taken);
+            if fires {
+                taken |= take;
+                wakes.push(WakeEvent {
+                    client: reg.client,
+                    req_id: reg.req_id,
+                    result: OpResult::Tuple(Some(entry.clone())),
+                });
             }
-            match reg.kind {
-                WaitKind::Rd => {
-                    self.pending_wakes.push(WakeEvent {
-                        client: reg.client,
-                        req_id: reg.req_id,
-                        result: OpResult::Tuple(Some(entry.clone())),
-                    });
-                    if !reg.persistent {
-                        fired.push(*key);
-                    }
-                }
-                WaitKind::Take if !taken => {
-                    taken = true;
-                    self.pending_wakes.push(WakeEvent {
-                        client: reg.client,
-                        req_id: reg.req_id,
-                        result: OpResult::Tuple(Some(entry.clone())),
-                    });
-                    if !reg.persistent {
-                        fired.push(*key);
-                    }
-                }
-                WaitKind::Take => {}
-            }
-        }
-        for key in fired {
-            self.registrations.remove(&key);
-        }
+            !fires
+        });
         if !taken {
             self.space.out(entry);
         }
     }
 
-    /// Executes a `Register`: parks `template` for client `client` under
-    /// request `req_id`. A one-shot registration first tries an immediate
-    /// match (returning the tuple directly, exactly like `rdp`/`inp`);
-    /// persistent registrations always park and observe only future
-    /// inserts (channel pub/sub live-tail). Policy is enforced at
+    /// Executes a `Register`: client `client`'s blocking `rd`/`take` under
+    /// request `req_id`. A match already in the space is returned at once,
+    /// exactly like `rdp`/`inp`; otherwise `template` parks until the
+    /// first committed insert that matches it. Policy is enforced at
     /// registration time, as the nonblocking equivalent of the wait.
     pub fn register(
         &mut self,
@@ -170,7 +150,6 @@ impl PeatsService {
         req_id: u64,
         template: &Template,
         kind: WaitKind,
-        persistent: bool,
     ) -> OpResult {
         let probe = match kind {
             WaitKind::Rd => OpCall::rdp(template),
@@ -182,14 +161,12 @@ impl PeatsService {
         {
             return OpResult::Denied(decision.to_string());
         }
-        if !persistent {
-            let immediate = match kind {
-                WaitKind::Rd => self.space.rdp(template),
-                WaitKind::Take => self.space.inp(template),
-            };
-            if let Some(t) = immediate {
-                return OpResult::Tuple(Some(t));
-            }
+        let immediate = match kind {
+            WaitKind::Rd => self.space.rdp(template),
+            WaitKind::Take => self.space.inp(template),
+        };
+        if let Some(t) = immediate {
+            return OpResult::Tuple(Some(t));
         }
         let key = self.next_reg;
         self.next_reg += 1;
@@ -200,7 +177,6 @@ impl PeatsService {
                 req_id,
                 template: template.clone(),
                 kind,
-                persistent,
             },
         );
         OpResult::Registered
@@ -404,10 +380,10 @@ mod tests {
     fn register_serves_immediate_match_without_parking() {
         let mut svc = PeatsService::new(Policy::allow_all(), PolicyParams::new()).unwrap();
         svc.execute(0, &OpCall::out(tuple!["A", 1]));
-        let r = svc.register(0, 10, &template!["A", ?x], WaitKind::Rd, false);
+        let r = svc.register(0, 10, &template!["A", ?x], WaitKind::Rd);
         assert_eq!(r, OpResult::Tuple(Some(tuple!["A", 1])));
         assert_eq!(svc.registrations_len(), 0);
-        let r = svc.register(0, 11, &template!["A", ?x], WaitKind::Take, false);
+        let r = svc.register(0, 11, &template!["A", ?x], WaitKind::Take);
         assert_eq!(r, OpResult::Tuple(Some(tuple!["A", 1])));
         assert!(svc.is_empty());
         assert!(svc.take_wakes().is_empty());
@@ -417,15 +393,15 @@ mod tests {
     fn out_wakes_all_rd_waiters_and_one_take_winner() {
         let mut svc = PeatsService::new(Policy::allow_all(), PolicyParams::new()).unwrap();
         assert_eq!(
-            svc.register(1, 10, &template!["A", ?x], WaitKind::Rd, false),
+            svc.register(1, 10, &template!["A", ?x], WaitKind::Rd),
             OpResult::Registered
         );
         assert_eq!(
-            svc.register(2, 20, &template!["A", ?x], WaitKind::Take, false),
+            svc.register(2, 20, &template!["A", ?x], WaitKind::Take),
             OpResult::Registered
         );
         assert_eq!(
-            svc.register(3, 30, &template!["A", ?x], WaitKind::Take, false),
+            svc.register(3, 30, &template!["A", ?x], WaitKind::Take),
             OpResult::Registered
         );
         assert_eq!(svc.registrations_len(), 3);
@@ -449,31 +425,11 @@ mod tests {
     }
 
     #[test]
-    fn persistent_registration_rearms_and_sees_only_future_outs() {
-        let mut svc = PeatsService::new(Policy::allow_all(), PolicyParams::new()).unwrap();
-        svc.execute(0, &OpCall::out(tuple!["EV", 0]));
-        // Persistent: parks even though a match exists (live-tail).
-        assert_eq!(
-            svc.register(1, 10, &template!["EV", ?x], WaitKind::Rd, true),
-            OpResult::Registered
-        );
-        for i in 1..=3i64 {
-            svc.execute(0, &OpCall::out(tuple!["EV", i]));
-            let wakes = svc.take_wakes();
-            assert_eq!(wakes.len(), 1);
-            assert_eq!(wakes[0].result, OpResult::Tuple(Some(tuple!["EV", i])));
-        }
-        assert_eq!(svc.registrations_len(), 1, "persistent entry re-arms");
-        svc.cancel(1, 10);
-        assert_eq!(svc.registrations_len(), 0);
-    }
-
-    #[test]
     fn cancel_removes_only_the_targeted_registration() {
         let mut svc = PeatsService::new(Policy::allow_all(), PolicyParams::new()).unwrap();
-        svc.register(1, 10, &template!["A"], WaitKind::Rd, false);
-        svc.register(1, 11, &template!["B"], WaitKind::Rd, false);
-        svc.register(2, 10, &template!["C"], WaitKind::Rd, false);
+        svc.register(1, 10, &template!["A"], WaitKind::Rd);
+        svc.register(1, 11, &template!["B"], WaitKind::Rd);
+        svc.register(2, 10, &template!["C"], WaitKind::Rd);
         svc.cancel(1, 10);
         assert_eq!(svc.registrations_len(), 2);
         // Idempotent; foreign (client, req_id) pairs untouched.
@@ -485,7 +441,7 @@ mod tests {
     #[test]
     fn cas_insert_wakes_waiters_too() {
         let mut svc = PeatsService::new(Policy::allow_all(), PolicyParams::new()).unwrap();
-        svc.register(1, 10, &template!["K", ?x], WaitKind::Take, false);
+        svc.register(1, 10, &template!["K", ?x], WaitKind::Take);
         let r = svc.execute(0, &OpCall::cas(template!["K", _], tuple!["K", 1]));
         assert_eq!(
             r,
@@ -505,7 +461,7 @@ mod tests {
         let policy =
             peats_policy::parse_policy("policy wo() { rule Rout: out(_) :- true; }").unwrap();
         let mut svc = PeatsService::new(policy, PolicyParams::new()).unwrap();
-        let r = svc.register(1, 10, &template!["SECRET", _], WaitKind::Rd, false);
+        let r = svc.register(1, 10, &template!["SECRET", _], WaitKind::Rd);
         assert!(matches!(r, OpResult::Denied(_)));
         assert_eq!(svc.registrations_len(), 0);
     }
@@ -515,12 +471,12 @@ mod tests {
         let mk = || PeatsService::new(Policy::allow_all(), PolicyParams::new()).unwrap();
         let (mut a, mut b) = (mk(), mk());
         let d0 = a.state_digest();
-        a.register(1, 10, &template!["A", ?x], WaitKind::Take, false);
+        a.register(1, 10, &template!["A", ?x], WaitKind::Take);
         assert_ne!(a.state_digest(), d0, "parked waiter is replicated state");
 
         // A register+cancel pair leaves no rows but a bumped arrival
         // counter — still divergent state (future win order differs).
-        b.register(1, 10, &template!["A", ?x], WaitKind::Take, false);
+        b.register(1, 10, &template!["A", ?x], WaitKind::Take);
         b.cancel(1, 10);
         assert_ne!(a.state_digest(), b.state_digest());
         assert_ne!(b.state_digest(), d0);

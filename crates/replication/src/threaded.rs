@@ -1145,29 +1145,32 @@ mod tests {
     }
 
     #[test]
-    fn persistent_subscription_streams_certified_matches_in_order() {
-        // The pub/sub tail: one persistent registration, many writes, each
-        // pushed exactly once and in commit order, with f+1 replicas
-        // vouching for every event.
-        let mut cluster =
-            ThreadedCluster::start(Policy::allow_all(), PolicyParams::new(), 1, &[100], &[])
-                .unwrap();
-        let h = cluster.handle(0);
-        // Pre-existing tuples are not replayed: the stream is a live tail.
-        h.out(tuple!["EVT", 0]).unwrap();
-        let mut sub = h.subscribe(&template!["EVT", ?x]).unwrap();
-        for i in 1..=5i64 {
-            h.out(tuple!["EVT", i]).unwrap();
+    fn a_watcher_follows_numbered_events_with_one_blocking_rd_each() {
+        // How a watcher follows a stream: the writer numbers its events and
+        // the watcher blocks in `rd` on the next number — one ordered op
+        // per event, and no registration outlives its `rd`.
+        let mut cluster = ThreadedCluster::start(
+            Policy::allow_all(),
+            PolicyParams::new(),
+            1,
+            &[100, 101],
+            &[],
+        )
+        .unwrap();
+        let (writer, watcher) = (cluster.handle(0), cluster.handle(1));
+        let watching = std::thread::spawn(move || {
+            let seen: Vec<Tuple> = (1..=20i64)
+                .map(|i| watcher.rd(&template!["EVT", i, _]).unwrap())
+                .collect();
+            (seen, watcher.issued_requests())
+        });
+        for i in 1..=20i64 {
+            writer.out(tuple!["EVT", i, i * i]).unwrap();
         }
-        for i in 1..=5i64 {
-            let got = sub
-                .next_timeout(Duration::from_secs(5))
-                .unwrap()
-                .expect("event must be pushed");
-            assert_eq!(got, tuple!["EVT", i]);
-        }
-        assert_eq!(sub.next_timeout(Duration::from_millis(200)).unwrap(), None);
-        sub.cancel().unwrap();
+        let (seen, ops) = watching.join().unwrap();
+        let events: Vec<Tuple> = (1..=20i64).map(|i| tuple!["EVT", i, i * i]).collect();
+        assert_eq!(seen, events);
+        assert_eq!(ops, 20);
         wait_for_no_registrations(&cluster);
         cluster.shutdown();
     }

@@ -83,8 +83,9 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, Write};
 use std::path::{Path, PathBuf};
 
-/// Magic bytes opening every snapshot file (name + format version).
-const SNAP_MAGIC: &[u8; 8] = b"PEATSNP1";
+/// Magic bytes opening every snapshot file (name + format version). A file
+/// of another version is refused like a corrupt one.
+const SNAP_MAGIC: &[u8; 8] = b"PEATSNP2";
 
 /// Length of a checked frame's header: `u32` payload length, `u32` CRC-32.
 const FRAME_HEADER: usize = 8;
@@ -984,6 +985,29 @@ mod tests {
         assert_eq!(recovery.snapshots[0].stable_seq, 1);
         // The fallback's replay suffix survived pruning.
         assert_eq!(recovery.replay_from(1), vec![(2, vec![req(100, 2)])]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_snapshot_of_the_previous_format_is_never_adopted() {
+        let dir = fresh_dir("oldsnap");
+        {
+            let (mut store, _) = DurableStore::open(&dir, DurableConfig::default()).unwrap();
+            store.append_batch(1, &[req(100, 1)]).unwrap();
+            store.persist_checkpoint(&snap(1, 1)).unwrap();
+            store.append_batch(2, &[req(100, 2)]).unwrap();
+            store.persist_checkpoint(&snap(2, 2)).unwrap();
+            store.sync().unwrap();
+        }
+        // The newest file under the version-1 magic, its checksum intact.
+        let path = snapshot_path(&dir, 2);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[..SNAP_MAGIC.len()].copy_from_slice(b"PEATSNP1");
+        fs::write(&path, bytes).unwrap();
+        let (_s, recovery) = DurableStore::open(&dir, DurableConfig::default()).unwrap();
+        assert_eq!(recovery.corrupt_snapshots, 1);
+        assert_eq!(recovery.snapshots.len(), 1);
+        assert_eq!(recovery.snapshots[0].stable_seq, 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 

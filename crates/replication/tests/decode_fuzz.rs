@@ -99,7 +99,7 @@ fn sample_messages() -> Vec<Message> {
             op: RequestOp::Register {
                 template: template!["EVT", ?x],
                 kind: WaitKind::Rd,
-                persistent: true,
+                persistent: false,
             },
         }),
         Message::Request(Request {
@@ -344,4 +344,28 @@ fn truncated_envelope_claiming_4gib_is_rejected_before_allocation() {
     assert_eq!(Sealed::from_bytes(&bytes), Err(DecodeError::LengthOverflow));
     let receiver = KeyTable::new(2, b"fuzz-master".to_vec());
     assert_eq!(open_both_ways(&receiver, &bytes), None);
+}
+
+/// A `Register` with its `persistent` flag set encodes, but no decoder
+/// takes it: registrations are one-shot, and a flag a peer sets is refused
+/// rather than ignored.
+#[test]
+fn a_register_with_the_persistent_flag_set_is_refused() {
+    let register = Message::Request(Request {
+        client: 8,
+        req_id: 7,
+        op: RequestOp::Register {
+            template: template!["EVT", ?x],
+            kind: WaitKind::Rd,
+            persistent: true,
+        },
+    });
+    assert!(matches!(
+        Message::from_bytes(&register.to_bytes()),
+        Err(DecodeError::BadTag { tag: 1, .. })
+    ));
+    let keys = KeyTable::new(1, b"fuzz-master".to_vec());
+    let frame = Sealed::seal(&keys, 2, &register).to_bytes();
+    let receiver = KeyTable::new(2, b"fuzz-master".to_vec());
+    assert_eq!(open_both_ways(&receiver, &frame), None);
 }
