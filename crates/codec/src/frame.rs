@@ -268,13 +268,10 @@ impl<R: Read> FrameReader<R> {
     /// Prefix plus payload length of the frame at the head of the buffer,
     /// once its prefix is buffered; over the cap is an error.
     fn framed_len(&self) -> Result<Option<usize>, FrameError> {
-        if self.end - self.start < 4 {
+        let [l0, l1, l2, l3, ..] = self.buf[self.start..self.end] else {
             return Ok(None);
-        }
-        let prefix = self.buf[self.start..self.start + 4]
-            .try_into()
-            .expect("4 bytes are buffered");
-        let len = u32::from_le_bytes(prefix) as usize;
+        };
+        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
         match len.checked_add(4) {
             Some(framed) if len <= self.max => Ok(Some(framed)),
             _ => Err(FrameError::TooLarge {
@@ -398,8 +395,9 @@ pub fn read_checked_frame<R: Read>(r: &mut R, max: usize) -> Result<Option<Vec<u
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
-    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
-    let expected = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
+    let [l0, l1, l2, l3, c0, c1, c2, c3] = header;
+    let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+    let expected = u32::from_le_bytes([c0, c1, c2, c3]);
     if len > max {
         return Err(FrameError::TooLarge {
             len: len as u64,

@@ -10,6 +10,48 @@
 //! fixed-width; sequences as `u32` length + elements. Decoding is strict —
 //! trailing bytes, bad tags or truncation produce a [`DecodeError`], which
 //! replicas treat as a Byzantine message and drop.
+//!
+//! # Declaring a wire type
+//!
+//! A wire type is written once, through [`wire!`]: the declaration is the
+//! type (docs and `#[derive]`s pass through) and also its [`Encode`] and
+//! [`Decode`]. Fields go on the wire in the order they are written, and a
+//! variant's tag byte is the number written beside it. A tuple variant
+//! names its fields (`For(value: u64)`); the emitted variant is the plain
+//! `For(u64)`. A field is encoded by its type's own `Encode`/`Decode`
+//! unless it names a [`Codec`] with `as`: `why: Vec<u8> as RawBytes` is
+//! one length prefix and one copy of the bytes, not a `u32` count of
+//! one-byte elements. An enum also gets its tag list, [`Tagged::TAGS`].
+//!
+//! ```
+//! use peats_codec::{wire, Decode, DecodeError, Encode, RawBytes, Tagged};
+//!
+//! wire! {
+//!     /// A vote.
+//!     #[derive(Debug, PartialEq)]
+//!     pub enum Vote {
+//!         /// No opinion.
+//!         Abstain = 0,
+//!         /// For a proposal.
+//!         For(proposal: u64) = 1,
+//!         /// Against one, with a reason.
+//!         Against { proposal: u64, why: Vec<u8> as RawBytes } = 2,
+//!     }
+//! }
+//!
+//! assert_eq!(Vote::For(7).to_bytes(), [1, 7, 0, 0, 0, 0, 0, 0, 0]);
+//! let no = Vote::Against { proposal: 7, why: b"late".to_vec() };
+//! assert_eq!(Vote::from_bytes(&no.to_bytes()), Ok(no));
+//! assert_eq!(Vote::TAGS, [0, 1, 2]);
+//! assert!(matches!(Vote::from_bytes(&[3]), Err(DecodeError::BadTag { tag: 3, .. })));
+//! ```
+//!
+//! A type declared elsewhere gets its codec from `wire! { impl enum Name
+//! { .. } }` or `wire! { impl struct Name { .. } }`, which list the
+//! variants and fields the same way and emit no type; a lifetime parameter
+//! (`impl enum OpCall<'a>`) is generic on both sides. Types whose fields
+//! are private ([`Tuple`], [`Template`]) and the integers, strings and
+//! containers below are written by hand.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,6 +67,7 @@ use peats_policy::OpCall;
 use peats_tuplespace::{
     BucketDigest, BucketKey, Field, SpaceSnapshot, Template, Tuple, TypeTag, Value,
 };
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -95,14 +138,36 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    fn byte(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.bytes(1)?[0])
+    /// Consumes the next `N` bytes as an array.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::UnexpectedEnd`] if fewer than `N` remain.
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        self.bytes(N)?
+            .try_into()
+            .map_err(|_| DecodeError::UnexpectedEnd)
     }
 
+    fn byte(&mut self) -> Result<u8, DecodeError> {
+        let [b] = self.array()?;
+        Ok(b)
+    }
+
+    /// A `u32` byte length, refused up front if more than what is left.
     fn len_prefix(&mut self) -> Result<usize, DecodeError> {
         let n = u32::decode(self)? as usize;
         if n > self.remaining() {
-            // Every element needs ≥ 1 byte; reject absurd lengths up front.
+            return Err(DecodeError::LengthOverflow);
+        }
+        Ok(n)
+    }
+
+    /// A `u32` element count. Every element takes at least a byte, so a
+    /// count beyond what is left is refused before anything is allocated.
+    fn count(&mut self) -> Result<usize, DecodeError> {
+        let n = u32::decode(self)? as usize;
+        if n > self.remaining() + 1 {
             return Err(DecodeError::LengthOverflow);
         }
         Ok(n)
@@ -146,6 +211,157 @@ pub trait Decode: Sized {
     }
 }
 
+/// A wire form of a `T` other than `T`'s own [`Encode`]/[`Decode`], named
+/// by a field of a [`wire!`] declaration with `field: T as Codec`.
+pub trait Codec<T> {
+    /// Appends `v`'s encoding to `buf`.
+    fn encode(v: &T, buf: &mut Vec<u8>);
+
+    /// Reads one `T`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError`] on malformed input.
+    fn decode(r: &mut Reader<'_>) -> Result<T, DecodeError>;
+}
+
+/// A byte string as a `u32` length and the bytes, copied in one piece each
+/// way — the wire form of [`Value::Bytes`].
+pub struct RawBytes;
+
+impl Codec<Vec<u8>> for RawBytes {
+    fn encode(v: &Vec<u8>, buf: &mut Vec<u8>) {
+        (v.len() as u32).encode(buf);
+        buf.extend_from_slice(v);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Vec<u8>, DecodeError> {
+        let n = r.len_prefix()?;
+        Ok(r.bytes(n)?.to_vec())
+    }
+}
+
+/// An enum declared through [`wire!`]: the tag bytes of its variants.
+pub trait Tagged {
+    /// Every variant's tag, in declaration order. A leading byte not listed
+    /// here decodes to [`DecodeError::BadTag`].
+    const TAGS: &'static [u8];
+}
+
+/// Declares a wire type once and derives its [`Encode`] and [`Decode`] (and,
+/// for an enum, [`Tagged`]); see the [crate docs](crate#declaring-a-wire-type).
+#[macro_export]
+macro_rules! wire {
+    (@encode $buf:ident, $v:ident as $codec:ty) => {
+        <$codec as $crate::Codec<_>>::encode($v, $buf)
+    };
+    (@encode $buf:ident, $v:ident) => {
+        $crate::Encode::encode($v, $buf)
+    };
+    (@decode $r:ident, $ty:ty as $codec:ty) => {
+        <$codec as $crate::Codec<$ty>>::decode($r)?
+    };
+    (@decode $r:ident, $ty:ty) => {
+        <$ty as $crate::Decode>::decode($r)?
+    };
+    (impl enum $name:ident $(<$lt:lifetime>)? {
+        $(
+            $variant:ident
+            $( ( $( $tb:ident : $tt:ty $(as $tc:ty)? ),+ ) )?
+            $( { $( $f:ident : $ft:ty $(as $fc:ty)? ),+ $(,)? } )?
+            = $tag:literal
+        ),+ $(,)?
+    }) => {
+        impl<$($lt)?> $crate::Tagged for $name<$($lt)?> {
+            const TAGS: &'static [u8] = &[$($tag),+];
+        }
+
+        impl<$($lt)?> $crate::Encode for $name<$($lt)?> {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $(Self::$variant $( ($($tb),+) )? $( { $($f),+ } )? => {
+                        buf.push($tag);
+                        $($( $crate::wire!(@encode buf, $tb $(as $tc)?); )+)?
+                        $($( $crate::wire!(@encode buf, $f $(as $fc)?); )+)?
+                    })+
+                }
+            }
+        }
+
+        impl<$($lt)?> $crate::Decode for $name<$($lt)?> {
+            fn decode(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::DecodeError> {
+                Ok(match <u8 as $crate::Decode>::decode(r)? {
+                    $($tag => Self::$variant
+                        $( ($( $crate::wire!(@decode r, $tt $(as $tc)?) ),+) )?
+                        $( { $( $f: $crate::wire!(@decode r, $ft $(as $fc)?) ),+ } )?,)+
+                    tag => {
+                        let ty = stringify!($name);
+                        return Err($crate::DecodeError::BadTag { tag, ty });
+                    }
+                })
+            }
+        }
+    };
+    (impl struct $name:ident { $( $f:ident : $ft:ty $(as $fc:ty)? ),+ $(,)? }) => {
+        impl $crate::Encode for $name {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                let Self { $($f),+ } = self;
+                $( $crate::wire!(@encode buf, $f $(as $fc)?); )+
+            }
+        }
+
+        impl $crate::Decode for $name {
+            fn decode(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::DecodeError> {
+                Ok(Self { $( $f: $crate::wire!(@decode r, $ft $(as $fc)?) ),+ })
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident
+                $( ( $( $tb:ident : $tt:ty $(as $tc:ty)? ),+ ) )?
+                $( { $( $(#[$fmeta:meta])* $f:ident : $ft:ty $(as $fc:ty)? ),+ $(,)? } )?
+                = $tag:literal
+            ),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant $( ($($tt),+) )? $( { $( $(#[$fmeta])* $f: $ft ),+ } )?,
+            )+
+        }
+
+        $crate::wire! {
+            impl enum $name {
+                $(
+                    $variant
+                    $( ($( $tb: $tt $(as $tc)? ),+) )?
+                    $( { $( $f: $ft $(as $fc)? ),+ } )?
+                    = $tag
+                ),+
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* $fvis:vis $f:ident : $ft:ty $(as $fc:ty)? ),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $( $(#[$fmeta])* $fvis $f: $ft ),+
+        }
+
+        $crate::wire! { impl struct $name { $( $f: $ft $(as $fc)? ),+ } }
+    };
+}
+
 macro_rules! int_codec {
     ($($ty:ty),+) => {$(
         impl Encode for $ty {
@@ -155,8 +371,7 @@ macro_rules! int_codec {
         }
         impl Decode for $ty {
             fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-                let bytes = r.bytes(std::mem::size_of::<$ty>())?;
-                Ok(<$ty>::from_le_bytes(bytes.try_into().expect("sized read")))
+                Ok(<$ty>::from_le_bytes(r.array()?))
             }
         }
     )+};
@@ -189,32 +404,19 @@ impl Encode for String {
 
 impl Decode for String {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let n = r.len_prefix()?;
-        let bytes = r.bytes(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8)
+        String::from_utf8(RawBytes::decode(r)?).map_err(|_| DecodeError::BadUtf8)
     }
 }
 
-impl<T: Encode> Encode for Vec<T> {
+impl<const N: usize> Encode for [u8; N] {
     fn encode(&self, buf: &mut Vec<u8>) {
-        (self.len() as u32).encode(buf);
-        for item in self {
-            item.encode(buf);
-        }
+        buf.extend_from_slice(self);
     }
 }
 
-impl<T: Decode> Decode for Vec<T> {
+impl<const N: usize> Decode for [u8; N] {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let n = u32::decode(r)? as usize;
-        if n > r.remaining() + 1 {
-            return Err(DecodeError::LengthOverflow);
-        }
-        let mut out = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            out.push(T::decode(r)?);
-        }
-        Ok(out)
+        r.array()
     }
 }
 
@@ -240,335 +442,183 @@ impl<T: Decode> Decode for Option<T> {
     }
 }
 
-impl Encode for Value {
+macro_rules! tuple_codec {
+    ($($T:ident $i:tt),+) => {
+        impl<$($T: Encode),+> Encode for ($($T,)+) {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                $(self.$i.encode(buf);)+
+            }
+        }
+        impl<$($T: Decode),+> Decode for ($($T,)+) {
+            fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                Ok(($($T::decode(r)?,)+))
+            }
+        }
+    };
+}
+
+tuple_codec!(A 0, B 1);
+tuple_codec!(A 0, B 1, C 2);
+
+/// A borrowed sequence encodes as its owned `Vec` does, so a batch can be
+/// encoded (and digested) without cloning it into one.
+impl<T: Encode> Encode for [T] {
     fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Value::Null => buf.push(0),
-            Value::Int(i) => {
-                buf.push(1);
-                i.encode(buf);
-            }
-            Value::Bool(b) => {
-                buf.push(2);
-                b.encode(buf);
-            }
-            Value::Str(s) => {
-                buf.push(3);
-                s.encode(buf);
-            }
-            Value::Bytes(b) => {
-                buf.push(4);
-                (b.len() as u32).encode(buf);
-                buf.extend_from_slice(b);
-            }
-            Value::List(l) => {
-                buf.push(5);
-                l.encode(buf);
-            }
-            Value::Set(s) => {
-                buf.push(6);
-                (s.len() as u32).encode(buf);
-                for v in s {
-                    v.encode(buf);
-                }
-            }
-            Value::Map(m) => {
-                buf.push(7);
-                (m.len() as u32).encode(buf);
-                for (k, v) in m {
-                    k.encode(buf);
-                    v.encode(buf);
-                }
-            }
+        (self.len() as u32).encode(buf);
+        for item in self {
+            item.encode(buf);
         }
     }
 }
 
-impl Decode for Value {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.byte()? {
-            0 => Value::Null,
-            1 => Value::Int(i64::decode(r)?),
-            2 => Value::Bool(bool::decode(r)?),
-            3 => Value::Str(String::decode(r)?),
-            4 => {
-                let n = r.len_prefix()?;
-                Value::Bytes(r.bytes(n)?.to_vec())
-            }
-            5 => Value::List(Vec::decode(r)?),
-            6 => {
-                let n = u32::decode(r)? as usize;
-                if n > r.remaining() + 1 {
-                    return Err(DecodeError::LengthOverflow);
-                }
-                let mut s = BTreeSet::new();
-                for _ in 0..n {
-                    s.insert(Value::decode(r)?);
-                }
-                Value::Set(s)
-            }
-            7 => {
-                let n = u32::decode(r)? as usize;
-                if n > r.remaining() + 1 {
-                    return Err(DecodeError::LengthOverflow);
-                }
-                let mut m = BTreeMap::new();
-                for _ in 0..n {
-                    let k = Value::decode(r)?;
-                    let v = Value::decode(r)?;
-                    m.insert(k, v);
-                }
-                Value::Map(m)
-            }
-            tag => return Err(DecodeError::BadTag { tag, ty: "Value" }),
-        })
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.as_slice().encode(buf);
     }
 }
 
-impl Encode for Tuple {
+impl<T: Decode> Decode for Vec<T> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let n = r.count()?;
+        let mut out = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            out.push(T::decode(r)?);
+        }
+        Ok(out)
+    }
+}
+
+impl<T: Encode> Encode for BTreeSet<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
         (self.len() as u32).encode(buf);
-        for v in self.fields() {
+        for item in self {
+            item.encode(buf);
+        }
+    }
+}
+
+impl<T: Decode + Ord> Decode for BTreeSet<T> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let mut out = BTreeSet::new();
+        for _ in 0..r.count()? {
+            out.insert(T::decode(r)?);
+        }
+        Ok(out)
+    }
+}
+
+impl<K: Encode, V: Encode> Encode for BTreeMap<K, V> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).encode(buf);
+        for (k, v) in self {
+            k.encode(buf);
             v.encode(buf);
         }
     }
 }
 
+impl<K: Decode + Ord, V: Decode> Decode for BTreeMap<K, V> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let mut out = BTreeMap::new();
+        for _ in 0..r.count()? {
+            let (k, v) = <(K, V)>::decode(r)?;
+            out.insert(k, v);
+        }
+        Ok(out)
+    }
+}
+
+impl<T: Encode + ToOwned + ?Sized> Encode for Cow<'_, T> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        (**self).encode(buf);
+    }
+}
+
+/// Decodes to `Cow::Owned`: a decoded value borrows nothing.
+impl<T: ToOwned + ?Sized> Decode for Cow<'_, T>
+where
+    T::Owned: Decode,
+{
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        T::Owned::decode(r).map(Cow::Owned)
+    }
+}
+
+wire! {
+    impl enum Value {
+        Null = 0,
+        Int(i: i64) = 1,
+        Bool(b: bool) = 2,
+        Str(s: String) = 3,
+        Bytes(b: Vec<u8> as RawBytes) = 4,
+        List(l: Vec<Value>) = 5,
+        Set(s: BTreeSet<Value>) = 6,
+        Map(m: BTreeMap<Value, Value>) = 7,
+    }
+}
+
+wire! {
+    impl enum TypeTag {
+        Null = 0,
+        Int = 1,
+        Bool = 2,
+        Str = 3,
+        Bytes = 4,
+        List = 5,
+        Set = 6,
+        Map = 7,
+    }
+}
+
+wire! {
+    impl enum Field {
+        Exact(value: Value) = 0,
+        Any = 1,
+        Formal { name: String, ty: Option<TypeTag> } = 2,
+    }
+}
+
+wire! {
+    impl enum OpCall<'a> {
+        Out(entry: Cow<'a, Tuple>) = 0,
+        Rd(template: Cow<'a, Template>) = 1,
+        In(template: Cow<'a, Template>) = 2,
+        Rdp(template: Cow<'a, Template>) = 3,
+        Inp(template: Cow<'a, Template>) = 4,
+        Cas(template: Cow<'a, Template>, entry: Cow<'a, Tuple>) = 5,
+        Count(template: Cow<'a, Template>) = 6,
+    }
+}
+
+wire! { impl struct SpaceSnapshot { entries: Vec<(u64, Tuple)>, next_seq: u64, rng_state: u64 } }
+
+wire! { impl struct BucketKey { arity: u64, channel: Option<Value> } }
+
+wire! { impl struct BucketDigest { key: BucketKey, digest: [u8; 32], entries: u64 } }
+
+// A tuple and a template encode as the `Vec` of their fields.
+
+impl Encode for Tuple {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.fields().encode(buf);
+    }
+}
+
 impl Decode for Tuple {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let n = u32::decode(r)? as usize;
-        if n > r.remaining() + 1 {
-            return Err(DecodeError::LengthOverflow);
-        }
-        let mut fields = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            fields.push(Value::decode(r)?);
-        }
-        Ok(Tuple::new(fields))
-    }
-}
-
-fn type_tag_byte(t: TypeTag) -> u8 {
-    match t {
-        TypeTag::Null => 0,
-        TypeTag::Int => 1,
-        TypeTag::Bool => 2,
-        TypeTag::Str => 3,
-        TypeTag::Bytes => 4,
-        TypeTag::List => 5,
-        TypeTag::Set => 6,
-        TypeTag::Map => 7,
-    }
-}
-
-fn type_tag_from(b: u8) -> Result<TypeTag, DecodeError> {
-    Ok(match b {
-        0 => TypeTag::Null,
-        1 => TypeTag::Int,
-        2 => TypeTag::Bool,
-        3 => TypeTag::Str,
-        4 => TypeTag::Bytes,
-        5 => TypeTag::List,
-        6 => TypeTag::Set,
-        7 => TypeTag::Map,
-        tag => return Err(DecodeError::BadTag { tag, ty: "TypeTag" }),
-    })
-}
-
-impl Encode for Field {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Field::Exact(v) => {
-                buf.push(0);
-                v.encode(buf);
-            }
-            Field::Any => buf.push(1),
-            Field::Formal { name, ty } => {
-                buf.push(2);
-                name.clone().encode(buf);
-                match ty {
-                    None => buf.push(0),
-                    Some(t) => {
-                        buf.push(1);
-                        buf.push(type_tag_byte(*t));
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl Decode for Field {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.byte()? {
-            0 => Field::Exact(Value::decode(r)?),
-            1 => Field::Any,
-            2 => {
-                let name = String::decode(r)?;
-                let ty = match r.byte()? {
-                    0 => None,
-                    1 => Some(type_tag_from(r.byte()?)?),
-                    tag => {
-                        return Err(DecodeError::BadTag {
-                            tag,
-                            ty: "Field.ty",
-                        })
-                    }
-                };
-                Field::Formal { name, ty }
-            }
-            tag => return Err(DecodeError::BadTag { tag, ty: "Field" }),
-        })
+        Vec::decode(r).map(Tuple::new)
     }
 }
 
 impl Encode for Template {
     fn encode(&self, buf: &mut Vec<u8>) {
-        (self.len() as u32).encode(buf);
-        for f in self.fields() {
-            f.encode(buf);
-        }
+        self.fields().encode(buf);
     }
 }
 
 impl Decode for Template {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let n = u32::decode(r)? as usize;
-        if n > r.remaining() + 1 {
-            return Err(DecodeError::LengthOverflow);
-        }
-        let mut fields = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            fields.push(Field::decode(r)?);
-        }
-        Ok(Template::new(fields))
-    }
-}
-
-impl Encode for OpCall<'_> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            OpCall::Out(t) => {
-                buf.push(0);
-                t.encode(buf);
-            }
-            OpCall::Rd(t) => {
-                buf.push(1);
-                t.encode(buf);
-            }
-            OpCall::In(t) => {
-                buf.push(2);
-                t.encode(buf);
-            }
-            OpCall::Rdp(t) => {
-                buf.push(3);
-                t.encode(buf);
-            }
-            OpCall::Inp(t) => {
-                buf.push(4);
-                t.encode(buf);
-            }
-            OpCall::Cas(t, e) => {
-                buf.push(5);
-                t.encode(buf);
-                e.encode(buf);
-            }
-            OpCall::Count(t) => {
-                buf.push(6);
-                t.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for OpCall<'static> {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.byte()? {
-            0 => OpCall::out(Tuple::decode(r)?),
-            1 => OpCall::rd(Template::decode(r)?),
-            2 => OpCall::take(Template::decode(r)?),
-            3 => OpCall::rdp(Template::decode(r)?),
-            4 => OpCall::inp(Template::decode(r)?),
-            5 => OpCall::cas(Template::decode(r)?, Tuple::decode(r)?),
-            6 => OpCall::count(Template::decode(r)?),
-            tag => return Err(DecodeError::BadTag { tag, ty: "OpCall" }),
-        })
-    }
-}
-
-impl Encode for SpaceSnapshot {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        (self.entries.len() as u32).encode(buf);
-        for (seq, entry) in &self.entries {
-            seq.encode(buf);
-            entry.encode(buf);
-        }
-        self.next_seq.encode(buf);
-        self.rng_state.encode(buf);
-    }
-}
-
-impl Decode for SpaceSnapshot {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let n = u32::decode(r)? as usize;
-        if n > r.remaining() + 1 {
-            return Err(DecodeError::LengthOverflow);
-        }
-        let mut entries = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            entries.push((u64::decode(r)?, Tuple::decode(r)?));
-        }
-        Ok(SpaceSnapshot {
-            entries,
-            next_seq: u64::decode(r)?,
-            rng_state: u64::decode(r)?,
-        })
-    }
-}
-
-impl Encode for [u8; 32] {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(self);
-    }
-}
-
-impl Decode for [u8; 32] {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(r.bytes(32)?.try_into().expect("sized read"))
-    }
-}
-
-impl Encode for BucketKey {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.arity.encode(buf);
-        self.channel.encode(buf);
-    }
-}
-
-impl Decode for BucketKey {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(BucketKey {
-            arity: u64::decode(r)?,
-            channel: Option::<Value>::decode(r)?,
-        })
-    }
-}
-
-impl Encode for BucketDigest {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.key.encode(buf);
-        self.digest.encode(buf);
-        self.entries.encode(buf);
-    }
-}
-
-impl Decode for BucketDigest {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(BucketDigest {
-            key: BucketKey::decode(r)?,
-            digest: <[u8; 32]>::decode(r)?,
-            entries: u64::decode(r)?,
-        })
+        Vec::decode(r).map(Template::new)
     }
 }
 

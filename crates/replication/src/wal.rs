@@ -73,11 +73,9 @@
 //! tail is re-fetched from the cluster, because recovery rejoins through
 //! the normal state-transfer path.
 
-use crate::messages::{encode_batch, ReplicaSnapshot, Request, Seq};
+use crate::messages::{ReplicaSnapshot, Request, Seq};
 use peats_auth::{sha256, Digest, DIGEST_LEN};
-use peats_codec::{
-    crc32, read_checked_frame, Decode, DecodeError, Encode, FrameError, Reader, DEFAULT_MAX_FRAME,
-};
+use peats_codec::{crc32, read_checked_frame, wire, Decode, Encode, FrameError, DEFAULT_MAX_FRAME};
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, Write};
@@ -90,68 +88,38 @@ const SNAP_MAGIC: &[u8; 8] = b"PEATSNP2";
 /// Length of a checked frame's header: `u32` payload length, `u32` CRC-32.
 const FRAME_HEADER: usize = 8;
 
-/// One record in the write-ahead log.
-#[derive(Clone, Debug, PartialEq)]
-pub enum WalRecord {
-    /// An ordered batch, logged at its execution boundary: replaying
-    /// batches in `seq` order over a restored snapshot reproduces the
-    /// replica's state (execution is deterministic).
-    Batch {
-        /// The slot the batch executed at.
-        seq: Seq,
-        /// The requests, in execution order.
-        batch: Vec<Request>,
-    },
-    /// A stable-checkpoint marker: a snapshot of the state through `seq`
-    /// was persisted with this attested digest. Self-describing log
-    /// boundary; recovery uses the snapshot files themselves.
-    Checkpoint {
-        /// The stable checkpoint sequence number.
-        seq: Seq,
-        /// The attested checkpoint digest.
-        digest: Digest,
-    },
+wire! {
+    /// One record in the write-ahead log.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum WalRecord {
+        /// An ordered batch, logged at its execution boundary: replaying
+        /// batches in `seq` order over a restored snapshot reproduces the
+        /// replica's state (execution is deterministic).
+        Batch {
+            /// The slot the batch executed at.
+            seq: Seq,
+            /// The requests, in execution order.
+            batch: Vec<Request>,
+        } = 0,
+        /// A stable-checkpoint marker: a snapshot of the state through `seq`
+        /// was persisted with this attested digest. Self-describing log
+        /// boundary; recovery uses the snapshot files themselves.
+        Checkpoint {
+            /// The stable checkpoint sequence number.
+            seq: Seq,
+            /// The attested checkpoint digest.
+            digest: Digest,
+        } = 1,
+    }
 }
 
-/// Encodes a [`WalRecord::Batch`] from a borrowed batch, so that
+/// Encodes a [`WalRecord::Batch`] (tag `0`) from a borrowed batch, so that
 /// [`DurableStore::append_batch`] need not clone the requests into a record
 /// first.
 fn encode_batch_record(seq: Seq, batch: &[Request], buf: &mut Vec<u8>) {
     buf.push(0);
     seq.encode(buf);
-    encode_batch(batch, buf);
-}
-
-impl Encode for WalRecord {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            WalRecord::Batch { seq, batch } => encode_batch_record(*seq, batch, buf),
-            WalRecord::Checkpoint { seq, digest } => {
-                buf.push(1);
-                seq.encode(buf);
-                buf.extend_from_slice(digest);
-            }
-        }
-    }
-}
-
-impl Decode for WalRecord {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(WalRecord::Batch {
-                seq: Seq::decode(r)?,
-                batch: Vec::<Request>::decode(r)?,
-            }),
-            1 => Ok(WalRecord::Checkpoint {
-                seq: Seq::decode(r)?,
-                digest: <[u8; DIGEST_LEN]>::decode(r)?,
-            }),
-            tag => Err(DecodeError::BadTag {
-                tag,
-                ty: "WalRecord",
-            }),
-        }
-    }
+    batch.encode(buf);
 }
 
 /// Durability policy knobs.
@@ -199,50 +167,26 @@ pub struct DiskMetrics {
     pub syncs: u64,
 }
 
-/// A snapshot loaded from (or about to be written to) disk.
-#[derive(Clone, Debug)]
-pub struct DurableSnapshot {
-    /// The stable checkpoint this snapshot anchors (`h`).
-    pub stable_seq: Seq,
-    /// The quorum-attested digest at `stable_seq`.
-    pub stable_digest: Digest,
-    /// The execution point the payload was captured at (`≥ stable_seq` —
-    /// stabilization can trail execution).
-    pub exec_seq: Seq,
-    /// Attestation digest of the payload itself (the shared
-    /// checkpoint/snapshot digest over the captured state): recovery
-    /// recomputes this from the restored state, so a snapshot that passes
-    /// the file checksum but was written by buggy code still cannot
-    /// install silently wrong state.
-    pub attested: Digest,
-    /// The captured state.
-    pub snapshot: ReplicaSnapshot,
-}
-
-impl DurableSnapshot {
-    fn encode_body(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        self.stable_seq.encode(&mut body);
-        body.extend_from_slice(&self.stable_digest);
-        self.exec_seq.encode(&mut body);
-        body.extend_from_slice(&self.attested);
-        self.snapshot.encode(&mut body);
-        body
-    }
-
-    fn decode_body(body: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::new(body);
-        let snap = DurableSnapshot {
-            stable_seq: Seq::decode(&mut r)?,
-            stable_digest: <[u8; DIGEST_LEN]>::decode(&mut r)?,
-            exec_seq: Seq::decode(&mut r)?,
-            attested: <[u8; DIGEST_LEN]>::decode(&mut r)?,
-            snapshot: ReplicaSnapshot::decode(&mut r)?,
-        };
-        if r.remaining() > 0 {
-            return Err(DecodeError::TrailingBytes(r.remaining()));
-        }
-        Ok(snap)
+wire! {
+    /// A snapshot loaded from (or about to be written to) disk: the body of
+    /// a snapshot file, behind its magic and checksum.
+    #[derive(Clone, Debug)]
+    pub struct DurableSnapshot {
+        /// The stable checkpoint this snapshot anchors (`h`).
+        pub stable_seq: Seq,
+        /// The quorum-attested digest at `stable_seq`.
+        pub stable_digest: Digest,
+        /// The execution point the payload was captured at (`≥ stable_seq` —
+        /// stabilization can trail execution).
+        pub exec_seq: Seq,
+        /// Attestation digest of the payload itself (the shared
+        /// checkpoint/snapshot digest over the captured state): recovery
+        /// recomputes this from the restored state, so a snapshot that passes
+        /// the file checksum but was written by buggy code still cannot
+        /// install silently wrong state.
+        pub attested: Digest,
+        /// The captured state.
+        pub snapshot: ReplicaSnapshot,
     }
 }
 
@@ -614,7 +558,7 @@ impl DurableStore {
         // never a half snapshot under the real name.
         let path = snapshot_path(&self.dir, snap.stable_seq);
         let tmp = path.with_extension("tmp");
-        let body = snap.encode_body();
+        let body = snap.to_bytes();
         {
             let mut f = File::create(&tmp)?;
             f.write_all(SNAP_MAGIC)?;
@@ -696,7 +640,7 @@ fn load_snapshot(path: &Path) -> io::Result<DurableSnapshot> {
     if sha256(body) != checksum {
         return Err(bad("snapshot checksum mismatch"));
     }
-    DurableSnapshot::decode_body(body)
+    DurableSnapshot::from_bytes(body)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
@@ -876,6 +820,11 @@ mod tests {
             },
         ] {
             let bytes = record.to_bytes();
+            if let WalRecord::Batch { seq, batch } = &record {
+                let mut borrowed = Vec::new();
+                encode_batch_record(*seq, batch, &mut borrowed);
+                assert_eq!(borrowed, bytes, "the append path's encoding");
+            }
             assert_eq!(WalRecord::from_bytes(&bytes).expect("roundtrip"), record);
             for cut in 0..bytes.len() {
                 assert!(WalRecord::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
