@@ -937,6 +937,26 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The snapshot file, byte for byte: magic, SHA-256 of the body, and a
+    /// body of the fields in declaration order (the `ReplicaSnapshot`
+    /// bytes themselves are pinned by `tests/golden_bytes.rs`).
+    #[test]
+    fn a_snapshot_file_is_magic_checksum_then_the_fields_in_order() {
+        let dir = fresh_dir("snapbytes");
+        let (mut store, _) = DurableStore::open(&dir, DurableConfig::default()).unwrap();
+        let s = snap(3, 4);
+        store.persist_checkpoint(&s).unwrap();
+        let mut body = Vec::new();
+        body.extend_from_slice(&3u64.to_le_bytes());
+        body.extend_from_slice(&s.stable_digest);
+        body.extend_from_slice(&4u64.to_le_bytes());
+        body.extend_from_slice(&s.attested);
+        body.extend_from_slice(&s.snapshot.to_bytes());
+        let file = [&SNAP_MAGIC[..], &sha256(&body), &body].concat();
+        assert_eq!(fs::read(snapshot_path(&dir, 3)).unwrap(), file);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn a_snapshot_of_the_previous_format_is_never_adopted() {
         let dir = fresh_dir("oldsnap");
