@@ -17,7 +17,7 @@
 //! type (docs and `#[derive]`s pass through) and also its [`Encode`] and
 //! [`Decode`]. Fields go on the wire in the order they are written, and a
 //! variant's tag byte is the number written beside it. A tuple variant
-//! names its fields (`For(value: u64)`); the emitted variant is the plain
+//! names its fields (`For(proposal: u64)`); the emitted variant is the plain
 //! `For(u64)`. A field is encoded by its type's own `Encode`/`Decode`
 //! unless it names a [`Codec`] with `as`: `why: Vec<u8> as RawBytes` is
 //! one length prefix and one copy of the bytes, not a `u32` count of
